@@ -12,7 +12,6 @@ from .core import (
     ParameterError,
     RotationParameter,
     coprime_rotations,
-    decompose,
     make_rotation,
 )
 from .formula import (
@@ -32,6 +31,7 @@ from .geometry import (
     TrajectoryGeometry,
     chord_list,
     chords_cross,
+    crossing_offsets,
     intersection_points,
     ring_radii,
     sub_billiard_angle,
@@ -55,7 +55,6 @@ __all__ = [
     "ParameterError",
     "RotationParameter",
     "coprime_rotations",
-    "decompose",
     "make_rotation",
     "DivisionSequence",
     "SequenceSource",
@@ -71,6 +70,7 @@ __all__ = [
     "TrajectoryGeometry",
     "chord_list",
     "chords_cross",
+    "crossing_offsets",
     "intersection_points",
     "ring_radii",
     "sub_billiard_angle",

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +18,8 @@ from .geometry import ring_radii
 from .oracle import verify_pair
 from .render import RenderSpec, render_step_series, render_svg
 
-# The per-pair oracle work is quadratic in q; beyond this an explicit
-# --force is required.
+# The per-pair ring check locates q*(p-1) crossings, quadratic in q; beyond
+# this an explicit --force is required.
 VERIFY_Q_CAP = 500
 
 
@@ -39,18 +39,14 @@ class ScanResult:
 
 
 def run_verification(q_max: int, jobs: int = 1) -> ScanResult:
-    """Verify every valid (p, q) with q <= q_max, optionally across threads.
+    """Verify every valid (p, q) with q <= q_max, in parameter order.
 
-    Results are aggregated in parameter order, so the outcome does not
-    depend on the worker count.
+    jobs is accepted and ignored: the checks are pure Python, so worker
+    threads would only take turns holding the interpreter lock.
     """
     params = list(coprime_rotations(q_max))
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(verify_pair, params))
-    else:
-        reports = [verify_pair(pm) for pm in params]
+    reports = [verify_pair(pm) for pm in params]
     failures = tuple(
         ScanFailure(rep.param.p, rep.param.q, c.name, c.first_divergence)
         for rep in reports
@@ -186,15 +182,16 @@ def cmd_scan(args) -> int:
                 ";".join(str(v) for v in seq.values),
             ]
         )
-    if args.output in (None, "-"):
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    to_stdout = args.output in (None, "-")
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if to_stdout
+        else open(args.output, "w", newline="", encoding="utf-8")
+    ) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p", "q", "m", "r", "f_total", "sequence"])
         writer.writerows(rows)
-    else:
-        with open(args.output, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["p", "q", "m", "r", "f_total", "sequence"])
-            writer.writerows(rows)
+    if not to_stdout:
         print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="cross-check formulas against brute force")
     vf.add_argument("--q-max", dest="q_max", type=int, required=True)
-    vf.add_argument("--jobs", type=int, default=1, help="worker threads")
+    vf.add_argument("--jobs", type=int, default=1, help="ignored; runs in one thread")
     vf.add_argument(
         "--force", action="store_true", help=f"allow --q-max beyond {VERIFY_Q_CAP}"
     )

@@ -27,17 +27,14 @@ class RotationParameter:
     """Reduced rotation fraction p/q plus derived quantities.
 
     m and r split the denominator as q = m*p + r with 0 <= r < p; they
-    control the block structure of the division sequence.  theta is the
-    rotation angle per bounce, alpha the reflection angle against the
-    boundary normal.  Instances are immutable and safe to share.
+    control the block structure of the division sequence.  Instances are
+    immutable and safe to share.
     """
 
     p: int
     q: int
     m: int
     r: int
-    theta: float
-    alpha: float
 
 
 def make_rotation(p_in: int, q_in: int) -> RotationParameter:
@@ -47,6 +44,9 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
     p/q < 1/2: larger fractions describe the same figures traced clockwise
     (or, at exactly 1/2, a retraced diameter) and are rejected.
     """
+    for name, value in (("p", p_in), ("q", q_in)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"{name} must be an int, got {value!r}")
     if p_in < 1:
         raise ParameterError(f"p must be a positive integer, got {p_in}")
     if q_in < 1:
@@ -61,14 +61,7 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
             f"{p_in}/{q_in} reduces to {p}/{q}: out of supported range (p/q < 1/2 required)"
         )
     m, r = divmod(q, p)
-    theta = 2.0 * math.pi * p / q
-    alpha = 0.5 * (math.pi - theta)
-    return RotationParameter(p=p, q=q, m=m, r=r, theta=theta, alpha=alpha)
-
-
-def decompose(param: RotationParameter) -> tuple[int, int]:
-    """Return (m, r) with q = m*p + r; (q, 0) when p = 1."""
-    return param.m, param.r
+    return RotationParameter(p=p, q=q, m=m, r=r)
 
 
 def coprime_rotations(q_max: int, q_min: int = 3) -> Iterator[RotationParameter]:

@@ -49,15 +49,13 @@ class Intersection:
 @dataclass(frozen=True)
 class TrajectoryGeometry:
     param: RotationParameter
-    vertices: tuple[tuple[float, float], ...]
-    chords: tuple[Chord, ...]
     intersections: tuple[Intersection, ...]
 
 
 def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
     """Reflection point j at angle 2*pi*j/q on the unit circle.
 
-    Consecutive star corners subtend the central angle 2*pi/q = theta/p.
+    Consecutive star corners subtend the central angle 2*pi/q.
     """
     q = param.q
     return [
@@ -84,6 +82,18 @@ def chords_cross(a: Chord, b: Chord, q: int) -> bool:
         return False
     span = (a1 - a0) % q
     return ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
+
+
+def crossing_offsets(param: RotationParameter) -> list[int]:
+    """Ascending offsets k in 1..q-1 for which chord 1 crosses chord 1 + k.
+
+    Chords n and n + k are chords 1 and 1 + k rotated by p*(n-1) vertex
+    steps, so they cross exactly when k is listed here (indices mod q).
+    Each chord crosses 2(p-1) others, and the list is closed under k -> q-k.
+    """
+    chords = chord_list(param)
+    first = chords[0]
+    return [k for k in range(1, param.q) if chords_cross(first, chords[k], param.q)]
 
 
 def ring_radii(param: RotationParameter) -> list[RingRadius]:
@@ -114,12 +124,14 @@ def _line_intersection(p1, p2, p3, p4) -> tuple[float, float]:
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, each assigned to its ring.
 
-    Crossing pairs are selected combinatorially, located by line-line
-    intersection, and matched to the nearest ring radius.  A point further
-    than RING_TOLERANCE from every ring raises RingAssignmentError.
+    Crossing pairs (chord i, chord i + k) come from the crossing offsets k,
+    ordered by i and then k; each is located by line-line intersection and
+    matched to the nearest ring radius.  A point further than RING_TOLERANCE
+    from every ring raises RingAssignmentError.
     """
     verts = vertex_positions(param)
     chords = chord_list(param)
+    offsets = crossing_offsets(param)
     q = param.q
     ascending = [
         (rr.normalized_radius, rr.ring_index) for rr in reversed(ring_radii(param))
@@ -128,9 +140,10 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     found = []
     for i, a in enumerate(chords):
         pa1, pa2 = verts[a.from_vertex], verts[a.to_vertex]
-        for b in chords[i + 1 :]:
-            if not chords_cross(a, b, q):
-                continue
+        for off in offsets:
+            if i + off >= q:
+                break
+            b = chords[i + off]
             pt = _line_intersection(pa1, pa2, verts[b.from_vertex], verts[b.to_vertex])
             d = math.hypot(pt[0], pt[1])
             j = bisect.bisect_left(radius_values, d)
@@ -146,7 +159,7 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
                     f"{d!r} matches no ring of {param.p}/{param.q}"
                 )
             found.append(Intersection(a.step_index, b.step_index, pt, best_ring))
-    return TrajectoryGeometry(param, tuple(verts), tuple(chords), tuple(found))
+    return TrajectoryGeometry(param, tuple(found))
 
 
 def sub_billiard_angle(param: RotationParameter, ring_index: int) -> RotationParameter:

@@ -3,12 +3,14 @@
 Two accountings are kept deliberately separate so a bug in one cannot
 silently confirm the other: an incremental count (each chord adds one
 region per earlier chord it crosses, plus one) and a vertex/edge/face
-census of the induced planar subdivision.  Both run on the combinatorial
-crossing predicate only; no floating point is involved.
+census of the induced planar subdivision.  Both count crossings from
+geometry.crossing_offsets, which is purely combinatorial; no floating
+point is involved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ from .formula import (
 from .geometry import (
     RingAssignmentError,
     chord_list,
-    chords_cross,
+    crossing_offsets,
     intersection_points,
     ring_radii,
 )
@@ -40,18 +42,15 @@ class ArrangementCensus:
 
 
 def _crossing_counts(param: RotationParameter) -> list[int]:
-    """counts[n-1] = number of chords among 1..n-1 crossed by chord n."""
-    chords = chord_list(param)
-    q = param.q
-    counts = []
-    for i in range(len(chords)):
-        b = chords[i]
-        c = 0
-        for j in range(i):
-            if chords_cross(chords[j], b, q):
-                c += 1
-        counts.append(c)
-    return counts
+    """counts[n-1] = number of chords among 1..n-1 crossed by chord n.
+
+    Chord n crosses chord n - k exactly when k is a crossing offset, so the
+    count is the number of offsets below n: a prefix sum of their indicator.
+    """
+    hit = [0] * param.q
+    for k in crossing_offsets(param):
+        hit[k] = 1
+    return list(itertools.accumulate(hit))
 
 
 def oracle_sequence(param: RotationParameter) -> DivisionSequence:
@@ -69,8 +68,9 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
 
     A boundary vertex counts once any incident chord is drawn; t touched
     points cut the boundary into t arcs; a chord crossed c times contributes
-    c + 1 edges.  Faces follow from f = 1 + e - v with the outer face
-    excluded.  The bare circle (upto_chord = 0) is (0, 0, 1) by convention.
+    c + 1 edges; each crossing offset k gives upto_chord - k crossings.
+    Faces follow from f = 1 + e - v with the outer face excluded.  The bare
+    circle (upto_chord = 0) is (0, 0, 1) by convention.
     """
     q = param.q
     if not 0 <= upto_chord <= q:
@@ -82,12 +82,7 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     for ch in chords:
         touched.add(ch.from_vertex)
         touched.add(ch.to_vertex)
-    crossings = 0
-    for i in range(len(chords)):
-        b = chords[i]
-        for j in range(i):
-            if chords_cross(chords[j], b, q):
-                crossings += 1
+    crossings = sum(upto_chord - k for k in crossing_offsets(param) if k < upto_chord)
     t = len(touched)
     v = t + crossings
     e = t + upto_chord + 2 * crossings
@@ -95,7 +90,7 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
 
 
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
-    """arrangement_census at every prefix 0..q, computed in one quadratic pass.
+    """arrangement_census at every prefix 0..q, computed in one linear pass.
 
     The traversal touches one new boundary vertex per chord until the orbit
     closes, so the boundary part of the census is n + 1 touched vertices and

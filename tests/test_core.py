@@ -8,7 +8,6 @@ from circle_billiards.core import (
     MAX_Q,
     ParameterError,
     coprime_rotations,
-    decompose,
     make_rotation,
 )
 
@@ -46,17 +45,12 @@ def test_input_validation():
         make_rotation(1, MAX_Q + 1)
 
 
-def test_derived_angles():
-    rp = make_rotation(3, 7)
-    assert rp.theta == pytest.approx(2 * math.pi * 3 / 7)
-    assert rp.alpha == pytest.approx((math.pi - rp.theta) / 2)
-    assert 0 < rp.alpha < math.pi / 2
-
-
-def test_decompose_examples():
-    assert decompose(make_rotation(3, 13)) == (4, 1)
-    assert decompose(make_rotation(1, 5)) == (5, 0)
-    assert decompose(make_rotation(3, 14)) == (4, 2)
+@pytest.mark.parametrize(
+    "p_in, q_in", [(1.0, 3), (2, 5.0), ("2", 5), (2, None), (True, 3), (1, True)]
+)
+def test_non_int_input_rejected(p_in, q_in):
+    with pytest.raises(ParameterError, match="must be an int"):
+        make_rotation(p_in, q_in)
 
 
 def test_exhaustive_decomposition_up_to_200():

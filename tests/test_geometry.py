@@ -1,17 +1,21 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.geometry import (
     Chord,
     chord_list,
     chords_cross,
+    crossing_offsets,
     intersection_points,
     ring_radii,
     sub_billiard_angle,
     vertex_positions,
 )
+from circle_billiards.oracle import oracle_sequence
 
 
 def test_vertex_positions_examples():
@@ -198,3 +202,49 @@ def test_sub_billiard_bad_ring():
         sub_billiard_angle(rp, 3)
     with pytest.raises(ValueError):
         sub_billiard_angle(rp, -1)
+
+
+def _pairwise_crossings(rp):
+    """Reference: every crossing (chord_a, chord_b), a < b, by the O(q^2) pair loop."""
+    chords = chord_list(rp)
+    return [
+        (a.step_index, b.step_index)
+        for i, a in enumerate(chords)
+        for b in chords[i + 1 :]
+        if chords_cross(a, b, rp.q)
+    ]
+
+
+def _check_against_pairwise_reference(rp):
+    pairs = _pairwise_crossings(rp)
+    offsets = crossing_offsets(rp)
+    assert len(offsets) == 2 * (rp.p - 1)
+    assert offsets == sorted(offsets)
+    assert set(offsets) == {rp.q - k for k in offsets}
+    earlier = [0] * (rp.q + 1)
+    for _, b in pairs:
+        earlier[b] += 1
+    increments = list(oracle_sequence(rp).increments)
+    assert increments == [1 + earlier[n] for n in range(1, rp.q + 1)]
+    geo = intersection_points(rp)
+    assert [(x.chord_a, x.chord_b) for x in geo.intersections] == pairs
+
+
+def test_crossing_offsets_match_pairwise_reference():
+    for rp in coprime_rotations(80):
+        _check_against_pairwise_reference(rp)
+
+
+@st.composite
+def _rotations_up_to_300(draw):
+    q = draw(st.integers(3, 300))
+    return make_rotation(draw(st.integers(1, (q - 1) // 2)), q)
+
+
+@given(_rotations_up_to_300())
+@example(make_rotation(1, 300))  # p = 1: a polygon, no crossings
+@example(make_rotation(149, 299))  # q = 2p + 1
+@example(make_rotation(7, 295))  # r = 1
+@settings(max_examples=25, deadline=None)
+def test_crossing_offsets_match_pairwise_reference_large_q(rp):
+    _check_against_pairwise_reference(rp)
