@@ -37,6 +37,12 @@ class RotationParameter:
     r: int
 
 
+def _require_ints(**values) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 def make_rotation(p_in: int, q_in: int) -> RotationParameter:
     """Build a validated parameter from a (not necessarily reduced) fraction.
 
@@ -44,9 +50,7 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
     p/q < 1/2: larger fractions describe the same figures traced clockwise
     (or, at exactly 1/2, a retraced diameter) and are rejected.
     """
-    for name, value in (("p", p_in), ("q", q_in)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"{name} must be an int, got {value!r}")
+    _require_ints(p=p_in, q=q_in)
     if p_in < 1:
         raise ParameterError(f"p must be a positive integer, got {p_in}")
     if q_in < 1:
@@ -66,7 +70,10 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
 
 def coprime_rotations(q_max: int, q_min: int = 3) -> Iterator[RotationParameter]:
     """All valid parameters with q_min <= q <= q_max, ordered by (q, p)."""
-    for q in range(q_min, q_max + 1):
-        for p in range(1, (q - 1) // 2 + 1):
-            if math.gcd(p, q) == 1:
-                yield make_rotation(p, q)
+    _require_ints(q_max=q_max, q_min=q_min)
+    return (
+        make_rotation(p, q)
+        for q in range(q_min, q_max + 1)
+        for p in range(1, (q - 1) // 2 + 1)
+        if math.gcd(p, q) == 1
+    )

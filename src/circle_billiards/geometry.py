@@ -7,18 +7,17 @@ enters for coordinates, ring radii and rendering.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 from .core import RotationParameter, make_rotation
 
-# Interior crossings must sit this close to one of the concentric rings.
+# Crossings must sit this close to their ring (capped at half the ring gap).
 RING_TOLERANCE = 1e-9
 
 
 class RingAssignmentError(RuntimeError):
-    """An interior crossing matched no ring radius within tolerance."""
+    """An interior crossing lies off the ring its chord offset assigns."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,40 +124,36 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, each assigned to its ring.
 
     Crossing pairs (chord i, chord i + k) come from the crossing offsets k,
-    ordered by i and then k; each is located by line-line intersection and
-    matched to the nearest ring radius.  A point further than RING_TOLERANCE
-    from every ring raises RingAssignmentError.
+    ordered by i and then k.  The midpoints of chords 1 and 1 + k lie
+    j = p*k mod q vertex steps apart, so their crossing is on ring
+    p - min(j, q - j); every pair with offset k is that pair rotated.  Each
+    crossing is located by line-line intersection, and a point further from
+    its ring than min(RING_TOLERANCE, half the gap to each adjacent ring)
+    raises RingAssignmentError.
     """
     verts = vertex_positions(param)
     chords = chord_list(param)
-    offsets = crossing_offsets(param)
-    q = param.q
-    ascending = [
-        (rr.normalized_radius, rr.ring_index) for rr in reversed(ring_radii(param))
-    ]
-    radius_values = [v for v, _ in ascending]
+    p, q = param.p, param.q
+    rings = [(k, p - min(p * k % q, q - p * k % q)) for k in crossing_offsets(param)]
+    radii = [rr.normalized_radius for rr in ring_radii(param)]
+    half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
+    half_gaps = [math.inf, *half_gaps, math.inf]
+    tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
     found = []
     for i, a in enumerate(chords):
         pa1, pa2 = verts[a.from_vertex], verts[a.to_vertex]
-        for off in offsets:
+        for off, ring in rings:
             if i + off >= q:
                 break
             b = chords[i + off]
             pt = _line_intersection(pa1, pa2, verts[b.from_vertex], verts[b.to_vertex])
             d = math.hypot(pt[0], pt[1])
-            j = bisect.bisect_left(radius_values, d)
-            best_err, best_ring = math.inf, -1
-            for k in (j - 1, j):
-                if 0 <= k < len(ascending):
-                    err = abs(radius_values[k] - d)
-                    if err < best_err:
-                        best_err, best_ring = err, ascending[k][1]
-            if best_err > RING_TOLERANCE:
+            if not abs(d - radii[ring]) <= tolerance[ring]:  # a NaN fails too
                 raise RingAssignmentError(
                     f"crossing of chords {a.step_index},{b.step_index} at distance "
-                    f"{d!r} matches no ring of {param.p}/{param.q}"
+                    f"{d!r} is off ring {ring} of {p}/{q}"
                 )
-            found.append(Intersection(a.step_index, b.step_index, pt, best_ring))
+            found.append(Intersection(a.step_index, b.step_index, pt, ring))
     return TrajectoryGeometry(param, tuple(found))
 
 

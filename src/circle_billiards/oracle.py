@@ -18,6 +18,7 @@ from .core import RotationParameter
 from .formula import (
     DivisionSequence,
     SequenceSource,
+    euler_counts,
     general_sequence,
     r1_sequence,
     special_sequence,
@@ -73,6 +74,8 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     circle (upto_chord = 0) is (0, 0, 1) by convention.
     """
     q = param.q
+    if isinstance(upto_chord, bool) or not isinstance(upto_chord, int):
+        raise ValueError(f"upto_chord must be an int, got {upto_chord!r}")
     if not 0 <= upto_chord <= q:
         raise ValueError(f"upto_chord must be in 0..{q}, got {upto_chord}")
     if upto_chord == 0:
@@ -192,9 +195,8 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     checks.append(CheckResult("census_vs_general", div is None, div))
 
     full = arrangement_census(param, param.q)
-    expected = (param.p * param.q, 2 * param.p * param.q, total_regions(param))
     got = (full.vertices_count, full.edges_count, full.faces_count)
-    checks.append(CheckResult("full_orbit_census", got == expected))
+    checks.append(CheckResult("full_orbit_census", got == euler_counts(param)))
 
     checks.append(
         CheckResult("endpoint_total", general.values[-1] == total_regions(param))

@@ -28,6 +28,8 @@ class RenderSpec:
     caption: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.upto_chord, bool) or not isinstance(self.upto_chord, int):
+            raise ValueError(f"upto_chord must be an int, got {self.upto_chord!r}")
         if not 0 <= self.upto_chord <= self.param.q:
             raise ValueError(
                 f"upto_chord must be in 0..{self.param.q}, got {self.upto_chord}"

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import circle_billiards
 from circle_billiards import cli
 from circle_billiards.cli import main, run_verification
 
@@ -198,10 +201,17 @@ def test_color_toggle(monkeypatch):
 
 
 def test_module_entry_point():
+    # The child interpreter must import the package the tests import, also
+    # from a checkout that is not installed.
+    package_parent = str(Path(circle_billiards.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "circle_billiards", "seq", "-p", "3", "-q", "13"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 2 3 4 5 7 10 13 16 20 25 30 35 40"

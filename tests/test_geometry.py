@@ -1,12 +1,16 @@
+import bisect
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circle_billiards import geometry
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.geometry import (
     Chord,
+    RingAssignmentError,
+    RingRadius,
     chord_list,
     chords_cross,
     crossing_offsets,
@@ -174,6 +178,27 @@ def test_ring_structure_scan():
             assert all(abs(d - gap) <= 1e-9 for d in deltas)
 
 
+@pytest.mark.parametrize(
+    "patched",
+    [
+        lambda r: [r[0], r[2], r[1]],  # rings 1 and 2 swapped
+        lambda r: [r[0], r[2] + 0.01, r[2]],  # ring 1 moved next to ring 2
+        lambda r: [r[0], r[1], r[1] - 0.01],  # ring 2 moved next to ring 1
+    ],
+    ids=["swapped", "outer_moved_in", "inner_moved_out"],
+)
+def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched):
+    # Each patched table of 3/7 puts some crossing nearer another ring than
+    # its own, which the loose RING_TOLERANCE alone would let pass.
+    rp = make_rotation(3, 7)
+    radii = patched([rr.normalized_radius for rr in ring_radii(rp)])
+    table = [RingRadius(i, r) for i, r in enumerate(radii)]
+    monkeypatch.setattr(geometry, "RING_TOLERANCE", 1.0)
+    monkeypatch.setattr(geometry, "ring_radii", lambda param: table)
+    with pytest.raises(RingAssignmentError):
+        intersection_points(rp)
+
+
 def test_no_triple_intersections():
     for rp in coprime_rotations(25):
         pts = [x.point for x in intersection_points(rp).intersections]
@@ -215,6 +240,13 @@ def _pairwise_crossings(rp):
     ]
 
 
+def _nearest_ring(ascending, d):
+    """Reference: index of the ring radius nearest to d (ascending: (radius, index))."""
+    j = bisect.bisect_left(ascending, (d,))
+    candidates = ascending[max(j - 1, 0) : j + 1]
+    return min(candidates, key=lambda rr: abs(rr[0] - d))[1]
+
+
 def _check_against_pairwise_reference(rp):
     pairs = _pairwise_crossings(rp)
     offsets = crossing_offsets(rp)
@@ -228,6 +260,9 @@ def _check_against_pairwise_reference(rp):
     assert increments == [1 + earlier[n] for n in range(1, rp.q + 1)]
     geo = intersection_points(rp)
     assert [(x.chord_a, x.chord_b) for x in geo.intersections] == pairs
+    ascending = sorted((rr.normalized_radius, rr.ring_index) for rr in ring_radii(rp))
+    for x in geo.intersections:
+        assert x.ring == _nearest_ring(ascending, math.hypot(*x.point)), (rp, x)
 
 
 def test_crossing_offsets_match_pairwise_reference():

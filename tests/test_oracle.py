@@ -44,6 +44,12 @@ def test_census_bounds():
         arrangement_census(rp, -1)
 
 
+@pytest.mark.parametrize("upto_chord", [2.0, "2", None, True])
+def test_census_non_int_rejected(upto_chord):
+    with pytest.raises(ValueError, match="must be an int"):
+        arrangement_census(make_rotation(3, 7), upto_chord)
+
+
 def test_census_agrees_with_incremental_everywhere():
     for rp in coprime_rotations(30):
         values = oracle_sequence(rp).values

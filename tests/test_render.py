@@ -107,3 +107,9 @@ def test_invalid_specs_rejected():
         RenderSpec(param=rp, upto_chord=3, canvas_size_px=32)
     with pytest.raises(ValueError):
         RenderSpec(param=rp, upto_chord=3, stroke_palette=())
+
+
+@pytest.mark.parametrize("upto_chord", [2.0, "2", None, True])
+def test_non_int_upto_chord_rejected(upto_chord):
+    with pytest.raises(ValueError, match="must be an int"):
+        RenderSpec(param=make_rotation(3, 7), upto_chord=upto_chord)
