@@ -12,12 +12,20 @@ from dataclasses import dataclass
 
 from .core import RotationParameter, make_rotation
 
-# Crossings must sit this close to their ring (capped at half the ring gap).
+# Crossings must sit this close to their exact place (a Euclidean distance,
+# capped at half the gap to each adjacent ring).
 RING_TOLERANCE = 1e-9
 
 
 class RingAssignmentError(RuntimeError):
-    """An interior crossing lies off the ring its chord offset assigns."""
+    """An interior crossing lies off the exact place its chords fix.
+
+    chord_a is the step index of the earlier chord of the first such crossing.
+    """
+
+    def __init__(self, message: str, chord_a: int) -> None:
+        super().__init__(message)
+        self.chord_a = chord_a
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,20 +129,27 @@ def _line_intersection(p1, p2, p3, p4) -> tuple[float, float]:
 
 
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
-    """All interior crossings of the full orbit, each assigned to its ring.
+    """All interior crossings of the full orbit, each checked at its exact place.
 
-    Crossing pairs (chord i, chord i + k) come from the crossing offsets k,
-    ordered by i and then k.  The midpoints of chords 1 and 1 + k lie
-    j = p*k mod q vertex steps apart, so their crossing is on ring
-    p - min(j, q - j); every pair with offset k is that pair rotated.  Each
-    crossing is located by line-line intersection, and a point further from
-    its ring than min(RING_TOLERANCE, half the gap to each adjacent ring)
-    raises RingAssignmentError.
+    Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the
+    crossing offsets k, ordered by i and then k.  With s = p*k mod q taken in
+    (-q/2, q/2), the two chords are mirror images across the bisector of
+    their midpoints, so they cross on it: on ring p - |s| at angle
+    pi*(p*(2i + 1) + s)/q.  Each crossing is located by line-line
+    intersection, and a point further from that place than
+    min(RING_TOLERANCE, half the gap to each adjacent ring) raises
+    RingAssignmentError.
     """
     verts = vertex_positions(param)
     chords = chord_list(param)
     p, q = param.p, param.q
-    rings = [(k, p - min(p * k % q, q - p * k % q)) for k in crossing_offsets(param)]
+    places = []
+    for k in crossing_offsets(param):
+        s = p * k % q
+        if 2 * s > q:
+            s -= q
+        places.append((k, s, p - abs(s)))
+    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
@@ -142,16 +157,19 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     found = []
     for i, a in enumerate(chords):
         pa1, pa2 = verts[a.from_vertex], verts[a.to_vertex]
-        for off, ring in rings:
+        for off, s, ring in places:
             if i + off >= q:
                 break
             b = chords[i + off]
             pt = _line_intersection(pa1, pa2, verts[b.from_vertex], verts[b.to_vertex])
-            d = math.hypot(pt[0], pt[1])
-            if not abs(d - radii[ring]) <= tolerance[ring]:  # a NaN fails too
+            ux, uy = unit[(p * (2 * i + 1) + s) % (2 * q)]
+            r = radii[ring]
+            miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
+            if not miss <= tolerance[ring]:  # a NaN fails too
                 raise RingAssignmentError(
-                    f"crossing of chords {a.step_index},{b.step_index} at distance "
-                    f"{d!r} is off ring {ring} of {p}/{q}"
+                    f"crossing of chords {a.step_index},{b.step_index} at {pt!r} is "
+                    f"{miss!r} from its place on ring {ring} of {p}/{q}",
+                    a.step_index,
                 )
             found.append(Intersection(a.step_index, b.step_index, pt, ring))
     return TrajectoryGeometry(param, tuple(found))
@@ -163,6 +181,8 @@ def sub_billiard_angle(param: RotationParameter, ring_index: int) -> RotationPar
     The chords clip ring i into a trajectory advancing by (p - i)/q turns
     per step; the result is reduced like any other parameter.
     """
+    if isinstance(ring_index, bool) or not isinstance(ring_index, int):
+        raise ValueError(f"ring_index must be an int, got {ring_index!r}")
     if not 0 <= ring_index <= param.p - 1:
         raise ValueError(f"ring_index must be in 0..{param.p - 1}, got {ring_index}")
     return make_rotation(param.p - ring_index, param.q)

@@ -5,13 +5,14 @@ silently confirm the other: an incremental count (each chord adds one
 region per earlier chord it crosses, plus one) and a vertex/edge/face
 census of the induced planar subdivision.  Both count crossings from
 geometry.crossing_offsets, which is purely combinatorial; no floating
-point is involved.
+point is involved.  verify_pair also runs the float ring check, which
+holds each crossing to its exact place from geometry.intersection_points.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import RotationParameter
@@ -144,32 +145,23 @@ def _first_divergence(xs, ys) -> int | None:
 
 
 def _ring_check(param: RotationParameter) -> CheckResult:
-    """Crossings land on rings 1..p-1, q per ring, equally spaced, radii decreasing."""
+    """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
+
+    intersection_points checks every crossing against its exact place; on a
+    failure the step index of the earlier chord is the first divergence.  On
+    ring p - |s| the crossings sit at slots p + s + 2p*i (mod 2q) of the 2q
+    directions pi*m/q; with gcd(p, q) = 1 the q of them are the q slots of
+    one parity, so they are equally spaced.
+    """
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
         return CheckResult("rings", False)
     try:
         geo = intersection_points(param)
-    except RingAssignmentError:
-        return CheckResult("rings", False)
-    p, q = param.p, param.q
-    if len(geo.intersections) != q * (p - 1):
-        return CheckResult("rings", False)
-    per_ring: dict[int, list[float]] = {}
-    for x in geo.intersections:
-        per_ring.setdefault(x.ring, []).append(math.atan2(x.point[1], x.point[0]))
-    if set(per_ring) != set(range(1, p)):
-        return CheckResult("rings", False)
-    gap = 2.0 * math.pi / q
-    for angles in per_ring.values():
-        if len(angles) != q:
-            return CheckResult("rings", False)
-        angles.sort()
-        deltas = [b - a for a, b in zip(angles, angles[1:])]
-        deltas.append(angles[0] + 2.0 * math.pi - angles[-1])
-        if any(abs(d - gap) > 1e-9 for d in deltas):
-            return CheckResult("rings", False)
-    return CheckResult("rings", True)
+    except RingAssignmentError as err:
+        return CheckResult("rings", False, err.chord_a)
+    per_ring = Counter(x.ring for x in geo.intersections)
+    return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), param.q))
 
 
 def verify_pair(param: RotationParameter) -> VerificationReport:

@@ -34,14 +34,29 @@ class RenderSpec:
             raise ValueError(
                 f"upto_chord must be in 0..{self.param.q}, got {self.upto_chord}"
             )
-        if self.canvas_size_px < 64:
-            raise ValueError(f"canvas_size_px must be at least 64, got {self.canvas_size_px}")
-        if not self.stroke_palette:
+        size = self.canvas_size_px
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"canvas_size_px must be an int, got {size!r}")
+        if size < 64:
+            raise ValueError(f"canvas_size_px must be at least 64, got {size}")
+        palette = self.stroke_palette
+        if not isinstance(palette, (tuple, list)) or not all(
+            isinstance(c, str) for c in palette
+        ):
+            raise ValueError(f"stroke_palette must be a tuple or list of strings, got {palette!r}")
+        if not palette:
             raise ValueError("stroke_palette must not be empty")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
+
+
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would import urllib.request into every caller.
+    for raw, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")):
+        text = text.replace(raw, entity)
+    return text
 
 
 def _revolution(param: RotationParameter, step_index: int) -> int:
@@ -75,7 +90,7 @@ def render_svg(spec: RenderSpec) -> str:
                 'stroke="gray" stroke-width="1.0" stroke-dasharray="6 4"/>'
             )
     verts = vertex_positions(param)
-    palette = spec.stroke_palette
+    palette = [_escape(c) for c in spec.stroke_palette]
     for ch in chord_list(param)[: spec.upto_chord]:
         x1, y1 = to_px(verts[ch.from_vertex])
         x2, y2 = to_px(verts[ch.to_vertex])
@@ -99,7 +114,7 @@ def render_svg(spec: RenderSpec) -> str:
         lines.append(
             f'  <text x="{_fmt(cx)}" y="{_fmt(size - 0.4 * font)}" '
             f'font-family="sans-serif" font-size="{_fmt(font)}" '
-            f'text-anchor="middle">{spec.caption}</text>'
+            f'text-anchor="middle">{_escape(str(spec.caption))}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import circle_billiards
-from circle_billiards import cli
+from circle_billiards import cli, geometry
 from circle_billiards.cli import main, run_verification
 
 
@@ -94,6 +94,24 @@ def test_verify_small_scan(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q-max", "15")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_names_first_off_chord(capsys, monkeypatch):
+    # Rings 1..p-1 pushed out by 1e-6: the first crossing, of chords 1 and 3
+    # of 2/5, is already off its place.
+    true_radii = geometry.ring_radii
+
+    def pushed_out(param):
+        table = true_radii(param)
+        return table[:1] + [
+            geometry.RingRadius(rr.ring_index, rr.normalized_radius * (1 + 1e-6))
+            for rr in table[1:]
+        ]
+
+    monkeypatch.setattr(geometry, "ring_radii", pushed_out)
+    code, out, _ = run_cli(capsys, "verify", "--q-max", "5")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL p=2 q=5 check=rings first_divergence=1"
 
 
 def test_verify_usage_errors(capsys):

@@ -161,21 +161,26 @@ def test_ring_membership_tolerance():
             assert abs(d - radii[x.ring]) <= 1e-9
 
 
+def _assert_rings_equally_spaced(rp, intersections):
+    """Reference: q crossings on each ring 1..p-1, sorted angles 2*pi/q apart."""
+    assert len(intersections) == rp.q * (rp.p - 1)
+    rings = {}
+    for x in intersections:
+        rings.setdefault(x.ring, []).append(math.atan2(x.point[1], x.point[0]))
+    assert set(rings) == set(range(1, rp.p))
+    gap = 2 * math.pi / rp.q
+    for angles in rings.values():
+        assert len(angles) == rp.q
+        angles.sort()
+        deltas = [b - a for a, b in zip(angles, angles[1:])]
+        deltas.append(angles[0] + 2 * math.pi - angles[-1])
+        assert all(abs(d - gap) <= 1e-9 for d in deltas), rp
+
+
 def test_ring_structure_scan():
     for rp in coprime_rotations(25):
         geo = intersection_points(rp)  # raises RingAssignmentError on failure
-        assert len(geo.intersections) == rp.q * (rp.p - 1)
-        rings = {}
-        for x in geo.intersections:
-            rings.setdefault(x.ring, []).append(math.atan2(x.point[1], x.point[0]))
-        assert set(rings) == set(range(1, rp.p))
-        gap = 2 * math.pi / rp.q
-        for angles in rings.values():
-            assert len(angles) == rp.q
-            angles.sort()
-            deltas = [b - a for a, b in zip(angles, angles[1:])]
-            deltas.append(angles[0] + 2 * math.pi - angles[-1])
-            assert all(abs(d - gap) <= 1e-9 for d in deltas)
+        _assert_rings_equally_spaced(rp, geo.intersections)
 
 
 @pytest.mark.parametrize(
@@ -229,6 +234,12 @@ def test_sub_billiard_bad_ring():
         sub_billiard_angle(rp, -1)
 
 
+@pytest.mark.parametrize("ring_index", [True, 1.0, "1", None])
+def test_sub_billiard_non_int_ring_rejected(ring_index):
+    with pytest.raises(ValueError, match="ring_index must be an int"):
+        sub_billiard_angle(make_rotation(3, 7), ring_index)
+
+
 def _pairwise_crossings(rp):
     """Reference: every crossing (chord_a, chord_b), a < b, by the O(q^2) pair loop."""
     chords = chord_list(rp)
@@ -263,6 +274,7 @@ def _check_against_pairwise_reference(rp):
     ascending = sorted((rr.normalized_radius, rr.ring_index) for rr in ring_radii(rp))
     for x in geo.intersections:
         assert x.ring == _nearest_ring(ascending, math.hypot(*x.point)), (rp, x)
+    _assert_rings_equally_spaced(rp, geo.intersections)
 
 
 def test_crossing_offsets_match_pairwise_reference():

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from circle_billiards import geometry
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.formula import SequenceSource
 from circle_billiards.oracle import (
@@ -111,3 +114,78 @@ def test_verify_pair_scan_all_green():
     for rp in coprime_rotations(30):
         report = verify_pair(rp)
         assert report.ok, (rp.p, rp.q, report.failures())
+
+
+def _rings_check(report):
+    (check,) = [c for c in report.checks if c.name == "rings"]
+    return check
+
+
+def test_ring_check_fails_half_step_rotation(monkeypatch):
+    # Rotating every vertex by half a step keeps each ring's radius and
+    # spacing but puts every crossing half a slot from its place.
+    def half_step(param):
+        angles = [math.pi * (2 * j + 1) / param.q for j in range(param.q)]
+        return [(math.cos(a), math.sin(a)) for a in angles]
+
+    monkeypatch.setattr(geometry, "vertex_positions", half_step)
+    report = verify_pair(make_rotation(3, 13))
+    assert not _rings_check(report).passed
+    assert [c.name for c in report.failures()] == ["rings"]
+
+
+def test_ring_check_tolerates_tiny_tangential_shift(monkeypatch):
+    # One 3/7 crossing on ring 2 (r ~ 0.247) moved 2e-9 rad along its ring
+    # is about 5e-10 from its place, inside the 1e-9 tolerance.
+    rp = make_rotation(3, 7)
+    inner = geometry.ring_radii(rp)[2].normalized_radius
+    locate = geometry._line_intersection
+    moved = []
+
+    def shifted(*ends):
+        x, y = locate(*ends)
+        if not moved and abs(math.hypot(x, y) - inner) < 1e-6:
+            c, s = math.cos(2e-9), math.sin(2e-9)
+            moved.append((x, y))
+            return (c * x - s * y, s * x + c * y)
+        return (x, y)
+
+    monkeypatch.setattr(geometry, "_line_intersection", shifted)
+    report = verify_pair(rp)
+    assert moved
+    assert report.ok, report.failures()
+
+
+_true_radii = geometry.ring_radii
+_true_vertices = geometry.vertex_positions
+
+
+def _scaled_radii(param):
+    # Rings 1..p-1 pushed out by 1e-6 of their radius: every crossing is off.
+    table = _true_radii(param)
+    return table[:1] + [
+        geometry.RingRadius(rr.ring_index, rr.normalized_radius * (1 + 1e-6))
+        for rr in table[1:]
+    ]
+
+
+def _moved_vertex(param):
+    # Vertex 7 of 2/9 is shared by chords 8 and 9, which cross chords 3, 4
+    # and 5; the first of those crossings in loop order is (3, 8).
+    verts = _true_vertices(param)
+    verts[7] = (math.cos(4.9), math.sin(4.9))
+    return verts
+
+
+@pytest.mark.parametrize(
+    "name, patch, pq, chord",
+    [
+        ("ring_radii", _scaled_radii, (3, 7), 1),
+        ("vertex_positions", _moved_vertex, (2, 9), 3),
+    ],
+    ids=["radius_table", "moved_vertex"],
+)
+def test_ring_check_reports_first_off_chord(monkeypatch, name, patch, pq, chord):
+    monkeypatch.setattr(geometry, name, patch)
+    check = _rings_check(verify_pair(make_rotation(*pq)))
+    assert (check.passed, check.first_divergence) == (False, chord)

@@ -113,3 +113,40 @@ def test_invalid_specs_rejected():
 def test_non_int_upto_chord_rejected(upto_chord):
     with pytest.raises(ValueError, match="must be an int"):
         RenderSpec(param=make_rotation(3, 7), upto_chord=upto_chord)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("canvas_size_px", 100.5),
+        ("canvas_size_px", True),
+        ("canvas_size_px", "480"),
+        ("stroke_palette", "red"),
+        ("stroke_palette", ("red", 3)),
+        ("stroke_palette", [None]),
+        ("stroke_palette", None),
+    ],
+)
+def test_mistyped_canvas_or_palette_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        RenderSpec(param=make_rotation(3, 7), upto_chord=3, **{field: value})
+
+
+def test_palette_list_accepted():
+    doc = render_svg(RenderSpec(param=make_rotation(2, 5), upto_chord=2, stroke_palette=["red"]))
+    assert 'stroke="red"' in doc
+
+
+@pytest.mark.parametrize("caption", ["f < g & h", "<b>&amp;</b>", "x]]>y"])
+def test_caption_escaped(caption):
+    doc = render_svg(RenderSpec(param=make_rotation(3, 7), upto_chord=3, caption=caption))
+    (text,) = ET.fromstring(doc).findall(f"{SVG_NS}text")
+    assert text.text == caption
+
+
+def test_palette_entries_escaped():
+    doc = render_svg(
+        RenderSpec(param=make_rotation(3, 7), upto_chord=3, stroke_palette=('a"b&c',))
+    )
+    strokes = {el.get("stroke") for el in ET.fromstring(doc).findall(f"{SVG_NS}line")}
+    assert strokes == {'a"b&c'}
