@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import ParameterError, RotationParameter, make_rotation
+from .core import ParameterError, RotationParameter, _require_ints, make_rotation
 
 
 class SequenceSource(enum.Enum):
@@ -121,6 +121,7 @@ def special_sequence(p: int) -> DivisionSequence:
     The bracket corrections account for the undivided disc and for the
     closing chord landing on the start vertex.
     """
+    _require_ints(p=p)
     if p < 1:
         raise ParameterError(f"p must be a positive integer, got {p}")
     q = 2 * p + 1

@@ -3,10 +3,12 @@
 Two accountings are kept deliberately separate so a bug in one cannot
 silently confirm the other: an incremental count (each chord adds one
 region per earlier chord it crosses, plus one) and a vertex/edge/face
-census of the induced planar subdivision.  Both count crossings from
-geometry.crossing_offsets, which is purely combinatorial; no floating
-point is involved.  verify_pair also runs the float ring check, which
-holds each crossing to its exact place from geometry.intersection_points.
+census of the induced planar subdivision, which census_prefixes takes at
+every prefix and arrangement_census reads one prefix from.  Both count
+crossings from geometry.crossing_offsets, which is purely combinatorial;
+no floating point is involved.  verify_pair also runs the float ring
+check, which holds each crossing to its exact place from
+geometry.intersection_points.
 """
 
 from __future__ import annotations
@@ -65,52 +67,38 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     return DivisionSequence.from_increments(param, increments, SequenceSource.ORACLE)
 
 
-def arrangement_census(param: RotationParameter, upto_chord: int) -> ArrangementCensus:
-    """Euler census of the subdivision induced by the first upto_chord chords.
+def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
+    """Euler census of the subdivision induced by each chord prefix 0..q.
 
-    A boundary vertex counts once any incident chord is drawn; t touched
-    points cut the boundary into t arcs; a chord crossed c times contributes
-    c + 1 edges; each crossing offset k gives upto_chord - k crossings.
-    Faces follow from f = 1 + e - v with the outer face excluded.  The bare
-    circle (upto_chord = 0) is (0, 0, 1) by convention.
+    One pass over the chords: a boundary vertex counts once any incident
+    chord is drawn, and t touched points cut the boundary into t arcs; a
+    chord crossed c times contributes c + 1 edges, and chord n adds the
+    crossings with the earlier chords it crosses.  Faces follow from
+    f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
+    is (0, 0, 1) by convention.
     """
-    q = param.q
-    if isinstance(upto_chord, bool) or not isinstance(upto_chord, int):
-        raise ValueError(f"upto_chord must be an int, got {upto_chord!r}")
-    if not 0 <= upto_chord <= q:
-        raise ValueError(f"upto_chord must be in 0..{q}, got {upto_chord}")
-    if upto_chord == 0:
-        return ArrangementCensus(0, 0, 1)
-    chords = chord_list(param)[:upto_chord]
+    out = [ArrangementCensus(0, 0, 1)]
     touched = set()
-    for ch in chords:
+    crossings = 0
+    chords = zip(chord_list(param), _crossing_counts(param))
+    for n, (ch, count) in enumerate(chords, start=1):
         touched.add(ch.from_vertex)
         touched.add(ch.to_vertex)
-    crossings = sum(upto_chord - k for k in crossing_offsets(param) if k < upto_chord)
-    t = len(touched)
-    v = t + crossings
-    e = t + upto_chord + 2 * crossings
-    return ArrangementCensus(v, e, 1 + e - v)
-
-
-def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
-    """arrangement_census at every prefix 0..q, computed in one linear pass.
-
-    The traversal touches one new boundary vertex per chord until the orbit
-    closes, so the boundary part of the census is n + 1 touched vertices and
-    arcs (q at closure); crossing totals accumulate per chord.
-    """
-    counts = _crossing_counts(param)
-    out = [ArrangementCensus(0, 0, 1)]
-    crossings = 0
-    q = param.q
-    for n in range(1, q + 1):
-        crossings += counts[n - 1]
-        t = n + 1 if n < q else q
+        crossings += count
+        t = len(touched)
         v = t + crossings
         e = t + n + 2 * crossings
         out.append(ArrangementCensus(v, e, 1 + e - v))
     return out
+
+
+def arrangement_census(param: RotationParameter, upto_chord: int) -> ArrangementCensus:
+    """Euler census of the first upto_chord chords: census_prefixes(param)[upto_chord]."""
+    if isinstance(upto_chord, bool) or not isinstance(upto_chord, int):
+        raise ValueError(f"upto_chord must be an int, got {upto_chord!r}")
+    if not 0 <= upto_chord <= param.q:
+        raise ValueError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
+    return census_prefixes(param)[upto_chord]
 
 
 @dataclass(frozen=True)
@@ -182,11 +170,12 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     div = _first_divergence(general.values, oracle.values)
     checks.append(CheckResult("general_vs_oracle", div is None, div))
 
-    faces = tuple(c.faces_count for c in census_prefixes(param))
+    census = census_prefixes(param)
+    faces = tuple(c.faces_count for c in census)
     div = _first_divergence(faces, general.values)
     checks.append(CheckResult("census_vs_general", div is None, div))
 
-    full = arrangement_census(param, param.q)
+    full = census[-1]
     got = (full.vertices_count, full.edges_count, full.faces_count)
     checks.append(CheckResult("full_orbit_census", got == euler_counts(param)))
 

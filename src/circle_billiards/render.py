@@ -24,7 +24,6 @@ class RenderSpec:
     show_rings: bool = False
     show_labels: bool = False
     canvas_size_px: int = 480
-    stroke_palette: tuple[str, ...] = DEFAULT_PALETTE
     caption: str | None = None
 
     def __post_init__(self) -> None:
@@ -39,13 +38,6 @@ class RenderSpec:
             raise ValueError(f"canvas_size_px must be an int, got {size!r}")
         if size < 64:
             raise ValueError(f"canvas_size_px must be at least 64, got {size}")
-        palette = self.stroke_palette
-        if not isinstance(palette, (tuple, list)) or not all(
-            isinstance(c, str) for c in palette
-        ):
-            raise ValueError(f"stroke_palette must be a tuple or list of strings, got {palette!r}")
-        if not palette:
-            raise ValueError("stroke_palette must not be empty")
 
 
 def _fmt(x: float) -> str:
@@ -90,11 +82,11 @@ def render_svg(spec: RenderSpec) -> str:
                 'stroke="gray" stroke-width="1.0" stroke-dasharray="6 4"/>'
             )
     verts = vertex_positions(param)
-    palette = [_escape(c) for c in spec.stroke_palette]
     for ch in chord_list(param)[: spec.upto_chord]:
         x1, y1 = to_px(verts[ch.from_vertex])
         x2, y2 = to_px(verts[ch.to_vertex])
-        color = palette[(_revolution(param, ch.step_index) - 1) % len(palette)]
+        turn = _revolution(param, ch.step_index) - 1
+        color = DEFAULT_PALETTE[turn % len(DEFAULT_PALETTE)]
         lines.append(
             f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="{color}" stroke-width="1.5"/>'

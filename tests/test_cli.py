@@ -68,6 +68,13 @@ def test_seq_q_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["scan"], ["verify", "--force"]])
+def test_q_max_guard(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--q-max", str(10**6 + 1))
+    assert code == 2
+    assert "q_max must be at most" in err
+
+
 def test_radii_3_7(capsys):
     code, out, _ = run_cli(capsys, "radii", "-p", "3", "-q", "7")
     assert code == 0

@@ -61,6 +61,12 @@ def test_coprime_rotations_non_int_rejected(q_max, q_min):
         coprime_rotations(q_max, q_min)
 
 
+def test_coprime_rotations_q_max_checked_at_call():
+    # Raised by the call itself, before the generator yields any pair.
+    with pytest.raises(ParameterError, match="q_max must be at most"):
+        coprime_rotations(MAX_Q + 1)
+
+
 def test_exhaustive_decomposition_up_to_200():
     count = 0
     for rp in coprime_rotations(200):

@@ -86,6 +86,12 @@ def test_special_rejects_bad_p():
         special_sequence(0)
 
 
+@pytest.mark.parametrize("p", ["3", None, 2.0, True])
+def test_special_rejects_non_int_p(p):
+    with pytest.raises(ParameterError, match="must be an int"):
+        special_sequence(p)
+
+
 @given(st.integers(1, 200))
 @settings(max_examples=60)
 def test_special_increment_law(p):

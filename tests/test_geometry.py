@@ -19,7 +19,7 @@ from circle_billiards.geometry import (
     sub_billiard_angle,
     vertex_positions,
 )
-from circle_billiards.oracle import oracle_sequence
+from circle_billiards.oracle import census_prefixes, oracle_sequence
 
 
 def test_vertex_positions_examples():
@@ -269,6 +269,17 @@ def _check_against_pairwise_reference(rp):
         earlier[b] += 1
     increments = list(oracle_sequence(rp).increments)
     assert increments == [1 + earlier[n] for n in range(1, rp.q + 1)]
+    # Direct census at every prefix n: touched endpoints of chords 1..n,
+    # t arcs, n + 2x chord edges, x crossings with chord_b <= n.
+    touched, x, direct = set(), 0, [(0, 0, 1)]
+    for n, ch in enumerate(chord_list(rp), start=1):
+        touched.update((ch.from_vertex, ch.to_vertex))
+        x += earlier[n]
+        t = len(touched)
+        v, e = t + x, t + n + 2 * x
+        direct.append((v, e, 1 + e - v))
+    census = [(c.vertices_count, c.edges_count, c.faces_count) for c in census_prefixes(rp)]
+    assert census == direct
     geo = intersection_points(rp)
     assert [(x.chord_a, x.chord_b) for x in geo.intersections] == pairs
     ascending = sorted((rr.normalized_radius, rr.ring_index) for rr in ring_radii(rp))

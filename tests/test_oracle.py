@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circle_billiards import geometry
+from circle_billiards import geometry, oracle
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.formula import SequenceSource
 from circle_billiards.oracle import (
@@ -60,12 +60,6 @@ def test_census_agrees_with_incremental_everywhere():
             assert arrangement_census(rp, n).faces_count == values[n], (rp.p, rp.q, n)
 
 
-def test_census_prefixes_equals_direct():
-    for rp in coprime_rotations(25):
-        direct = [arrangement_census(rp, n) for n in range(rp.q + 1)]
-        assert census_prefixes(rp) == direct
-
-
 def test_full_orbit_census_scan():
     for rp in coprime_rotations(60):
         c = arrangement_census(rp, rp.q)
@@ -114,6 +108,35 @@ def test_verify_pair_scan_all_green():
     for rp in coprime_rotations(30):
         report = verify_pair(rp)
         assert report.ok, (rp.p, rp.q, report.failures())
+
+
+_true_chords = geometry.chord_list
+
+
+def _pinched_chords(param):
+    # Vertex 2p (mod q) moved onto vertex 0: chord 2 ends, and chord 3
+    # starts, on an already-touched vertex, so the full orbit touches q - 1.
+    lost = 2 * param.p % param.q
+    return [
+        geometry.Chord(
+            0 if ch.from_vertex == lost else ch.from_vertex,
+            0 if ch.to_vertex == lost else ch.to_vertex,
+            ch.step_index,
+        )
+        for ch in _true_chords(param)
+    ]
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (3, 13), (3, 14)])
+def test_full_orbit_census_fails_on_pinched_chord(monkeypatch, pq):
+    # Faces do not depend on the touched count, so only the full-orbit
+    # vertex and edge totals can catch it.
+    rp = make_rotation(*pq)
+    monkeypatch.setattr(oracle, "chord_list", _pinched_chords)
+    full = census_prefixes(rp)[-1]
+    assert (full.vertices_count, full.edges_count) == (rp.p * rp.q - 1, 2 * rp.p * rp.q - 1)
+    report = verify_pair(rp)
+    assert [c.name for c in report.failures()] == ["full_orbit_census"]
 
 
 def _rings_check(report):

@@ -66,16 +66,14 @@ def test_chord_endpoints_match_vertices_within_half_pixel():
 
 
 def test_revolution_coloring_cycles_palette():
-    doc = render_svg(
-        RenderSpec(
-            param=make_rotation(3, 7),
-            upto_chord=7,
-            stroke_palette=("blue", "red", "green"),
-        )
-    )
+    # 7/15 makes 7 turns, so the 7th turn wraps back to the first colour.
+    doc = render_svg(RenderSpec(param=make_rotation(7, 15), upto_chord=15))
     root = ET.fromstring(doc)
     strokes = [el.get("stroke") for el in root.findall(f"{SVG_NS}line")]
-    assert strokes == ["blue", "blue", "red", "red", "green", "green", "green"]
+    assert strokes == [
+        "blue", "blue", "red", "red", "green", "green", "darkorange", "darkorange",
+        "purple", "purple", "teal", "teal", "blue", "blue", "blue",
+    ]
 
 
 def test_step_series_3_7(tmp_path):
@@ -105,8 +103,6 @@ def test_invalid_specs_rejected():
         RenderSpec(param=rp, upto_chord=-1)
     with pytest.raises(ValueError):
         RenderSpec(param=rp, upto_chord=3, canvas_size_px=32)
-    with pytest.raises(ValueError):
-        RenderSpec(param=rp, upto_chord=3, stroke_palette=())
 
 
 @pytest.mark.parametrize("upto_chord", [2.0, "2", None, True])
@@ -121,10 +117,6 @@ def test_non_int_upto_chord_rejected(upto_chord):
         ("canvas_size_px", 100.5),
         ("canvas_size_px", True),
         ("canvas_size_px", "480"),
-        ("stroke_palette", "red"),
-        ("stroke_palette", ("red", 3)),
-        ("stroke_palette", [None]),
-        ("stroke_palette", None),
     ],
 )
 def test_mistyped_canvas_or_palette_rejected(field, value):
@@ -132,21 +124,8 @@ def test_mistyped_canvas_or_palette_rejected(field, value):
         RenderSpec(param=make_rotation(3, 7), upto_chord=3, **{field: value})
 
 
-def test_palette_list_accepted():
-    doc = render_svg(RenderSpec(param=make_rotation(2, 5), upto_chord=2, stroke_palette=["red"]))
-    assert 'stroke="red"' in doc
-
-
 @pytest.mark.parametrize("caption", ["f < g & h", "<b>&amp;</b>", "x]]>y"])
 def test_caption_escaped(caption):
     doc = render_svg(RenderSpec(param=make_rotation(3, 7), upto_chord=3, caption=caption))
     (text,) = ET.fromstring(doc).findall(f"{SVG_NS}text")
     assert text.text == caption
-
-
-def test_palette_entries_escaped():
-    doc = render_svg(
-        RenderSpec(param=make_rotation(3, 7), upto_chord=3, stroke_palette=('a"b&c',))
-    )
-    strokes = {el.get("stroke") for el in ET.fromstring(doc).findall(f"{SVG_NS}line")}
-    assert strokes == {'a"b&c'}
