@@ -34,7 +34,6 @@ from .geometry import (
     crossing_offsets,
     intersection_points,
     ring_radii,
-    sub_billiard_angle,
     vertex_positions,
 )
 from .oracle import (
@@ -73,7 +72,6 @@ __all__ = [
     "crossing_offsets",
     "intersection_points",
     "ring_radii",
-    "sub_billiard_angle",
     "vertex_positions",
     "ArrangementCensus",
     "CheckResult",

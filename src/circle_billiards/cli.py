@@ -145,6 +145,17 @@ def cmd_render(args) -> int:
         if args.out in (None, "-"):
             print("error: --series requires -o OUTDIR", file=sys.stderr)
             return 2
+        # The series draws every prefix bare at the default size.
+        given = {
+            "--step": args.step is not None,
+            "--rings": args.rings,
+            "--labels": args.labels,
+            "--size": args.size != RenderSpec.canvas_size_px,
+        }
+        if any(given.values()):
+            flags = ", ".join(flag for flag, on in given.items() if on)
+            print(f"error: --series does not take {flags}", file=sys.stderr)
+            return 2
         paths = render_step_series(param, args.out)
         print(f"wrote {len(paths)} files to {args.out}")
         return 0

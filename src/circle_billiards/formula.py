@@ -8,6 +8,7 @@ end at f_q = p*q + 1.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .core import ParameterError, RotationParameter, _require_ints, make_rotation
@@ -59,10 +60,8 @@ class DivisionSequence:
         increments: list[int],
         source: SequenceSource,
     ) -> "DivisionSequence":
-        values = [1]
-        for d in increments:
-            values.append(values[-1] + d)
-        return cls(param, tuple(values), tuple(increments), source)
+        values = tuple(itertools.accumulate(increments, initial=1))
+        return cls(param, values, tuple(increments), source)
 
 
 def total_regions(param: RotationParameter) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import RotationParameter, make_rotation
+from .core import RotationParameter
 
 # Crossings must sit this close to their exact place (a Euclidean distance,
 # capped at half the gap to each adjacent ring).
@@ -128,8 +128,8 @@ def _line_intersection(p1, p2, p3, p4) -> tuple[float, float]:
     return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
 
 
-def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
-    """All interior crossings of the full orbit, each checked at its exact place.
+def _crossings(param: RotationParameter):
+    """Yield (chord_a, chord_b, point, ring) for every interior crossing, checked.
 
     Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the
     crossing offsets k, ordered by i and then k.  With s = p*k mod q taken in
@@ -138,7 +138,7 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     pi*(p*(2i + 1) + s)/q.  Each crossing is located by line-line
     intersection, and a point further from that place than
     min(RING_TOLERANCE, half the gap to each adjacent ring) raises
-    RingAssignmentError.
+    RingAssignmentError.  A caller that only counts keeps no crossing.
     """
     verts = vertex_positions(param)
     chords = chord_list(param)
@@ -154,7 +154,6 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
     tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
-    found = []
     for i, a in enumerate(chords):
         pa1, pa2 = verts[a.from_vertex], verts[a.to_vertex]
         for off, s, ring in places:
@@ -171,18 +170,9 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
                     f"{miss!r} from its place on ring {ring} of {p}/{q}",
                     a.step_index,
                 )
-            found.append(Intersection(a.step_index, b.step_index, pt, ring))
-    return TrajectoryGeometry(param, tuple(found))
+            yield a.step_index, b.step_index, pt, ring
 
 
-def sub_billiard_angle(param: RotationParameter, ring_index: int) -> RotationParameter:
-    """Rotation parameter of the induced orbit on circle ring_index.
-
-    The chords clip ring i into a trajectory advancing by (p - i)/q turns
-    per step; the result is reduced like any other parameter.
-    """
-    if isinstance(ring_index, bool) or not isinstance(ring_index, int):
-        raise ValueError(f"ring_index must be an int, got {ring_index!r}")
-    if not 0 <= ring_index <= param.p - 1:
-        raise ValueError(f"ring_index must be in 0..{param.p - 1}, got {ring_index}")
-    return make_rotation(param.p - ring_index, param.q)
+def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
+    """All interior crossings of the full orbit, located and checked by _crossings."""
+    return TrajectoryGeometry(param, tuple(Intersection(*c) for c in _crossings(param)))

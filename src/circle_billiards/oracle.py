@@ -7,8 +7,8 @@ census of the induced planar subdivision, which census_prefixes takes at
 every prefix and arrangement_census reads one prefix from.  Both count
 crossings from geometry.crossing_offsets, which is purely combinatorial;
 no floating point is involved.  verify_pair also runs the float ring
-check, which holds each crossing to its exact place from
-geometry.intersection_points.
+check, which counts the crossings per ring as geometry._crossings streams
+them, each held to its exact place there.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .formula import (
 )
 from .geometry import (
     RingAssignmentError,
+    _crossings,
     chord_list,
     crossing_offsets,
-    intersection_points,
     ring_radii,
 )
 
@@ -135,8 +135,8 @@ def _first_divergence(xs, ys) -> int | None:
 def _ring_check(param: RotationParameter) -> CheckResult:
     """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
 
-    intersection_points checks every crossing against its exact place; on a
-    failure the step index of the earlier chord is the first divergence.  On
+    Counts per ring as _crossings yields and checks each crossing; for one
+    off its place, the step index of its earlier chord is the divergence.  On
     ring p - |s| the crossings sit at slots p + s + 2p*i (mod 2q) of the 2q
     directions pi*m/q; with gcd(p, q) = 1 the q of them are the q slots of
     one parity, so they are equally spaced.
@@ -145,10 +145,9 @@ def _ring_check(param: RotationParameter) -> CheckResult:
     if any(a <= b for a, b in zip(radii, radii[1:])):
         return CheckResult("rings", False)
     try:
-        geo = intersection_points(param)
+        per_ring = Counter(ring for *_, ring in _crossings(param))
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
-    per_ring = Counter(x.ring for x in geo.intersections)
     return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), param.q))
 
 

@@ -202,6 +202,28 @@ def test_render_series_needs_out(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--step", "2"], ["--rings"], ["--labels"], ["--size", "900"]],
+    ids=["step", "rings", "labels", "size"],
+)
+def test_render_series_rejects_single_figure_options(tmp_path, capsys, extra):
+    outdir = tmp_path / "steps"
+    argv = ["render", "-p", "3", "-q", "7", "--series", "-o", str(outdir), *extra]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and extra[0] in err
+    assert not outdir.exists()
+
+
+def test_render_series_accepts_default_size(tmp_path, capsys):
+    outdir = tmp_path / "steps"
+    argv = ["render", "-p", "3", "-q", "7", "--series", "--size", "480", "-o", str(outdir)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(sorted(outdir.glob("step_*.svg"))) == 8
+
+
 def test_render_bad_step(capsys):
     code, _, err = run_cli(capsys, "render", "-p", "3", "-q", "7", "--step", "8")
     assert code == 2

@@ -16,7 +16,6 @@ from circle_billiards.geometry import (
     crossing_offsets,
     intersection_points,
     ring_radii,
-    sub_billiard_angle,
     vertex_positions,
 )
 from circle_billiards.oracle import census_prefixes, oracle_sequence
@@ -210,34 +209,6 @@ def test_no_triple_intersections():
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 assert (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > 1e-12, (rp.p, rp.q)
-
-
-def test_sub_billiard_examples():
-    rp = make_rotation(3, 7)
-    assert sub_billiard_angle(rp, 0) == rp
-    inner = sub_billiard_angle(rp, 1)
-    assert (inner.p, inner.q) == (2, 7)
-    innermost = sub_billiard_angle(rp, 2)
-    assert (innermost.p, innermost.q) == (1, 7)
-
-
-def test_sub_billiard_reduces():
-    reduced = sub_billiard_angle(make_rotation(4, 15), 1)  # 3/15 -> 1/5
-    assert (reduced.p, reduced.q) == (1, 5)
-
-
-def test_sub_billiard_bad_ring():
-    rp = make_rotation(3, 7)
-    with pytest.raises(ValueError):
-        sub_billiard_angle(rp, 3)
-    with pytest.raises(ValueError):
-        sub_billiard_angle(rp, -1)
-
-
-@pytest.mark.parametrize("ring_index", [True, 1.0, "1", None])
-def test_sub_billiard_non_int_ring_rejected(ring_index):
-    with pytest.raises(ValueError, match="ring_index must be an int"):
-        sub_billiard_angle(make_rotation(3, 7), ring_index)
 
 
 def _pairwise_crossings(rp):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circle_billiards import geometry, oracle
+from circle_billiards import cli, geometry, oracle
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.formula import SequenceSource
 from circle_billiards.oracle import (
@@ -212,3 +212,15 @@ def test_ring_check_reports_first_off_chord(monkeypatch, name, patch, pq, chord)
     monkeypatch.setattr(geometry, name, patch)
     check = _rings_check(verify_pair(make_rotation(*pq)))
     assert (check.passed, check.first_divergence) == (False, chord)
+
+
+def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring check built a crossing object")
+
+    monkeypatch.setattr(geometry, "Intersection", refuse)
+    monkeypatch.setattr(geometry, "TrajectoryGeometry", refuse)
+    report = verify_pair(make_rotation(3, 13))
+    assert report.ok, report.failures()
+    assert cli.main(["verify", "--q-max", "12"]) == 0
+    assert "PASS: " in capsys.readouterr().out
