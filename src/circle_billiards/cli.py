@@ -86,8 +86,8 @@ def cmd_seq(args) -> int:
             "m": param.m,
             "r": param.r,
             "source": seq.source.value,
-            "values": list(seq.values),
-            "increments": list(seq.increments),
+            "values": seq.values,
+            "increments": seq.increments,
         }
         print(json.dumps(payload))
     return 0

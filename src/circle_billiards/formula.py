@@ -8,7 +8,9 @@ end at f_q = p*q + 1.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import ParameterError, RotationParameter, _require_ints, make_rotation
@@ -24,7 +26,7 @@ class SequenceSource(enum.Enum):
 
 @dataclass(frozen=True)
 class DivisionSequence:
-    """The exact region counts f_0..f_q together with their increments.
+    """The exact region counts f_0..f_q; ``increments`` is derived from them.
 
     Construction enforces the structural invariants every correct sequence
     satisfies: f_0 = 1, f_q = p*q + 1, and each chord adds between 1 and
@@ -33,25 +35,26 @@ class DivisionSequence:
 
     param: RotationParameter
     values: tuple[int, ...]
-    increments: tuple[int, ...]
     source: SequenceSource
 
     def __post_init__(self) -> None:
         p, q = self.param.p, self.param.q
-        if len(self.values) != q + 1 or len(self.increments) != q:
-            raise ValueError(
-                f"need q+1 values and q increments, got {len(self.values)} and {len(self.increments)}"
-            )
+        if len(self.values) != q + 1:
+            raise ValueError(f"need q+1 values, got {len(self.values)}")
         if self.values[0] != 1:
             raise ValueError(f"f_0 must be 1, got {self.values[0]}")
         if self.values[-1] != p * q + 1:
             raise ValueError(f"f_q must be {p * q + 1}, got {self.values[-1]}")
-        for n in range(1, q + 1):
-            d = self.values[n] - self.values[n - 1]
-            if d != self.increments[n - 1]:
-                raise ValueError(f"increment mismatch at step {n}")
-            if not 1 <= d <= 2 * p - 1:
-                raise ValueError(f"increment {d} at step {n} outside 1..{2 * p - 1}")
+        top = 2 * p - 1
+        steps = self.increments
+        if min(steps) < 1 or max(steps) > top:
+            n, d = next((n, d) for n, d in enumerate(steps, 1) if not 1 <= d <= top)
+            raise ValueError(f"increment {d} at step {n} outside 1..{top}")
+
+    @functools.cached_property
+    def increments(self) -> tuple[int, ...]:
+        """f_n - f_(n-1) for n = 1..q: the regions added by each chord."""
+        return tuple(map(operator.sub, self.values[1:], self.values))
 
     @classmethod
     def from_increments(
@@ -60,8 +63,8 @@ class DivisionSequence:
         increments: list[int],
         source: SequenceSource,
     ) -> "DivisionSequence":
-        values = tuple(itertools.accumulate(increments, initial=1))
-        return cls(param, values, tuple(increments), source)
+        """The sequence f_0 = 1, f_n = 1 + increments[0] + ... + increments[n-1]."""
+        return cls(param, tuple(itertools.accumulate(increments, initial=1)), source)
 
 
 def total_regions(param: RotationParameter) -> int:
@@ -125,14 +128,8 @@ def special_sequence(p: int) -> DivisionSequence:
         raise ParameterError(f"p must be a positive integer, got {p}")
     q = 2 * p + 1
     param = make_rotation(p, q)
-    values = []
-    for n in range(q + 1):
-        v = 2 + n * (n - 1) // 2
-        if n == 0 or n == q:
-            v -= 1
-        values.append(v)
-    increments = tuple(values[n] - values[n - 1] for n in range(1, q + 1))
-    return DivisionSequence(param, tuple(values), increments, SequenceSource.SPECIAL_CLOSED_FORM)
+    values = tuple(2 + n * (n - 1) // 2 - (n in (0, q)) for n in range(q + 1))
+    return DivisionSequence(param, values, SequenceSource.SPECIAL_CLOSED_FORM)
 
 
 def r1_sequence(param: RotationParameter) -> DivisionSequence:

@@ -51,11 +51,6 @@ def _escape(text: str) -> str:
     return text
 
 
-def _revolution(param: RotationParameter, step_index: int) -> int:
-    """1 + full turns completed strictly before this chord ends."""
-    return 1 + (step_index * param.p - 1) // param.q
-
-
 def render_svg(spec: RenderSpec) -> str:
     """One SVG document; identical specs produce byte-identical output."""
     param = spec.param
@@ -85,7 +80,8 @@ def render_svg(spec: RenderSpec) -> str:
     for ch in chord_list(param)[: spec.upto_chord]:
         x1, y1 = to_px(verts[ch.from_vertex])
         x2, y2 = to_px(verts[ch.to_vertex])
-        turn = _revolution(param, ch.step_index) - 1
+        # Full turns completed strictly before this chord ends.
+        turn = (ch.step_index * param.p - 1) // param.q
         color = DEFAULT_PALETTE[turn % len(DEFAULT_PALETTE)]
         lines.append(
             f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '

@@ -34,6 +34,7 @@ def test_seq_json_uses_special_form(capsys):
     payload = json.loads(out)
     assert payload["source"] == "SpecialClosedForm"
     assert payload["values"][-1] == 22
+    assert payload["increments"] == [1, 1, 2, 3, 4, 5, 5]
     assert list(payload) == ["p", "q", "m", "r", "source", "values", "increments"]
 
 
@@ -42,6 +43,8 @@ def test_seq_json_round_trip(capsys):
     assert json.dumps(json.loads(out)) == out.strip()
     payload = json.loads(out)
     assert payload["source"] == "GeneralFormula"
+    values = payload["values"]
+    assert payload["increments"] == [b - a for a, b in zip(values, values[1:])]
 
 
 def test_seq_csv(capsys):

@@ -143,13 +143,13 @@ def test_endpoint_totals_scan():
 def test_sequence_invariants_enforced():
     rp = make_rotation(3, 7)
     with pytest.raises(ValueError):
-        DivisionSequence(rp, (1, 2), (1,), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, (1, 2), SequenceSource.GENERAL_FORMULA)
     with pytest.raises(ValueError):
-        DivisionSequence(
-            rp, tuple(range(8)), (1,) * 7, SequenceSource.GENERAL_FORMULA
-        )  # f_0 = 0
-    good = general_sequence(rp)
-    broken = list(good.increments)
-    broken[3] += 1
-    with pytest.raises(ValueError):
-        DivisionSequence(rp, good.values, tuple(broken), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, tuple(range(8)), SequenceSource.GENERAL_FORMULA)  # f_0 = 0
+    with pytest.raises(ValueError, match=r"f_q must be 22, got 23"):
+        DivisionSequence(rp, (1, 2, 3, 5, 8, 12, 17, 23), SequenceSource.GENERAL_FORMULA)
+    with pytest.raises(ValueError, match=r"increment 6 at step 4 outside 1\.\.5"):
+        DivisionSequence(rp, (1, 2, 3, 4, 10, 12, 17, 22), SequenceSource.GENERAL_FORMULA)
+    # Step 2 is the first bad step, though step 4 holds the largest increment.
+    with pytest.raises(ValueError, match=r"increment 0 at step 2 outside 1\.\.5"):
+        DivisionSequence(rp, (1, 2, 2, 3, 9, 12, 17, 22), SequenceSource.GENERAL_FORMULA)
