@@ -51,17 +51,36 @@ def _escape(text: str) -> str:
     return text
 
 
-def render_svg(spec: RenderSpec) -> str:
-    """One SVG document; identical specs produce byte-identical output."""
-    param = spec.param
+def _chord_lines(param: RotationParameter, size: int, upto_chord: int) -> list[str]:
+    """The `<line>` element of each of the first upto_chord chords."""
+    center = size / 2.0
+    scale = RADIUS_FRACTION * size
+    verts = vertex_positions(param)
+
+    def to_px(vertex: int) -> tuple[str, str]:
+        # Mathematical orientation (y up) flipped to screen coordinates.
+        x, y = verts[vertex]
+        return _fmt(center + scale * x), _fmt(center - scale * y)
+
+    lines = []
+    for ch in chord_list(param)[:upto_chord]:
+        x1, y1 = to_px(ch.from_vertex)
+        x2, y2 = to_px(ch.to_vertex)
+        # Full turns completed strictly before this chord ends.
+        turn = (ch.step_index * param.p - 1) // param.q
+        color = DEFAULT_PALETTE[turn % len(DEFAULT_PALETTE)]
+        lines.append(
+            f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+    return lines
+
+
+def _document(spec: RenderSpec, chord_lines: list[str]) -> str:
+    """Header, optional rings, the given chord lines, optional labels and caption."""
     size = spec.canvas_size_px
     cx = cy = size / 2.0
     scale = RADIUS_FRACTION * size
-
-    def to_px(pt: tuple[float, float]) -> tuple[float, float]:
-        # Mathematical orientation (y up) flipped to screen coordinates.
-        return cx + scale * pt[0], cy - scale * pt[1]
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -70,26 +89,16 @@ def render_svg(spec: RenderSpec) -> str:
         'fill="none" stroke="black" stroke-width="1.5"/>',
     ]
     if spec.show_rings:
-        for rr in ring_radii(param)[1:]:
+        for rr in ring_radii(spec.param)[1:]:
             lines.append(
                 f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                 f'r="{_fmt(scale * rr.normalized_radius)}" fill="none" '
                 'stroke="gray" stroke-width="1.0" stroke-dasharray="6 4"/>'
             )
-    verts = vertex_positions(param)
-    for ch in chord_list(param)[: spec.upto_chord]:
-        x1, y1 = to_px(verts[ch.from_vertex])
-        x2, y2 = to_px(verts[ch.to_vertex])
-        # Full turns completed strictly before this chord ends.
-        turn = (ch.step_index * param.p - 1) // param.q
-        color = DEFAULT_PALETTE[turn % len(DEFAULT_PALETTE)]
-        lines.append(
-            f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
+    lines.extend(chord_lines)
     if spec.show_labels:
         font = max(10.0, size / 32.0)
-        for j, pt in enumerate(verts):
+        for j, pt in enumerate(vertex_positions(spec.param)):
             lx = cx + 1.12 * scale * pt[0]
             ly = cy - 1.12 * scale * pt[1]
             lines.append(
@@ -108,15 +117,30 @@ def render_svg(spec: RenderSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_svg(spec: RenderSpec) -> str:
+    """One SVG document; identical specs produce byte-identical output."""
+    chord_lines = _chord_lines(spec.param, spec.canvas_size_px, spec.upto_chord)
+    return _document(spec, chord_lines)
+
+
 def render_step_series(param: RotationParameter, out_dir) -> list[Path]:
-    """Write step_000.svg .. step_{q}.svg, one per prefix, captioned with f_n."""
+    """Write one bare 480 px SVG per prefix n = 0..q, captioned with f_n.
+
+    File n is step_{n}.svg with n zero-padded to max(3, digits of q), so the
+    names sort in step order (step_000.svg .. step_013.svg for q = 13).  Each
+    chord's line is formatted once and every prefix document joins a slice of
+    those lines, so the work is proportional to the bytes written.  File n
+    equals render_svg(RenderSpec(param, n, caption=f"f_{n} = {f_n}")).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seq = general_sequence(param)
+    chord_lines = _chord_lines(param, RenderSpec.canvas_size_px, param.q)
+    width = max(3, len(str(param.q)))
     paths = []
-    for n in range(param.q + 1):
-        spec = RenderSpec(param=param, upto_chord=n, caption=f"f_{n} = {seq.values[n]}")
-        path = out / f"step_{n:03d}.svg"
-        path.write_text(render_svg(spec), encoding="utf-8")
+    for n, f_n in enumerate(seq.values):
+        spec = RenderSpec(param=param, upto_chord=n, caption=f"f_{n} = {f_n}")
+        path = out / f"step_{n:0{width}d}.svg"
+        path.write_text(_document(spec, chord_lines[:n]), encoding="utf-8")
         paths.append(path)
     return paths

@@ -1,8 +1,11 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from circle_billiards.cli import main
 from circle_billiards.core import make_rotation
+from circle_billiards.formula import general_sequence
 from circle_billiards.geometry import chord_list, vertex_positions
 from circle_billiards.render import (
     RADIUS_FRACTION,
@@ -81,6 +84,59 @@ def test_step_series_3_7(tmp_path):
     assert len(paths) == 8
     assert [p.name for p in paths] == [f"step_{n:03d}.svg" for n in range(8)]
     assert "f_7 = 22" in paths[-1].read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 7), (3, 13), (7, 15)])
+def test_step_series_equals_render_svg(tmp_path, p, q):
+    # 7/15 wraps the palette; each file must be the single-figure document.
+    rp = make_rotation(p, q)
+    paths = render_step_series(rp, tmp_path)
+    values = general_sequence(rp).values
+    assert len(paths) == q + 1
+    for n, path in enumerate(paths):
+        spec = RenderSpec(param=rp, upto_chord=n, caption=f"f_{n} = {values[n]}")
+        assert path.read_bytes() == render_svg(spec).encode("utf-8")
+
+
+def test_step_series_names_sort_in_step_order(tmp_path):
+    # At q >= 1000 three digits would sort step_1000.svg before step_101.svg.
+    paths = render_step_series(make_rotation(1, 1000), tmp_path)
+    names = [p.name for p in paths]
+    assert names[0] == "step_0000.svg" and names[-1] == "step_1000.svg"
+    assert sorted(names) == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_partial_prefix_with_rings_and_labels():
+    rp = make_rotation(5, 13)
+    spec = RenderSpec(
+        param=rp, upto_chord=4, show_rings=True, show_labels=True, canvas_size_px=333
+    )
+    doc = render_svg(spec)
+    root = ET.fromstring(doc)
+    assert len(root.findall(f"{SVG_NS}line")) == 4
+    assert len(root.findall(f"{SVG_NS}circle")) == 5  # boundary + rings 1..4
+    assert [el.text for el in root.findall(f"{SVG_NS}text")] == [
+        f"P{j}" for j in range(13)
+    ]
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == (
+        "f80e9aa71091ba39b5d969b8222969b5aa67d54beaedab2ea14072acfe691cf1"
+    )
+
+
+def test_render_stdout_golden_bytes(capsys):
+    # Pins every formatted digit, which a parity test between paths cannot.
+    assert main(["render", "-p", "3", "-q", "7", "--rings", "--labels"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "a737d33c6e7878096687d119159ebd3f68c47afc23495524b87cf634c2a83358"
+    )
+
+
+def test_step_series_golden_bytes(tmp_path):
+    paths = render_step_series(make_rotation(3, 13), tmp_path)
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    assert digest == "b144dc9ea15e5f46792fd7307f361aab5462421a2d64751f00e63765bfe5947c"
 
 
 def test_step_series_triangle(tmp_path):
