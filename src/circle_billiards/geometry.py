@@ -117,62 +117,67 @@ def ring_radii(param: RotationParameter) -> list[RingRadius]:
     ]
 
 
-def _line_intersection(p1, p2, p3, p4) -> tuple[float, float]:
-    # Crossing chords are never parallel, so the denominator is nonzero.
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
-    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+def _line_intersection(line_a, line_b) -> tuple[float, float]:
+    # Lines (u, v, w) mean u*x + v*y = w.  Crossing chords are never
+    # parallel, so the determinant is nonzero.
+    u1, v1, w1 = line_a
+    u2, v2, w2 = line_b
+    det = u1 * v2 - u2 * v1
+    return ((w1 * v2 - w2 * v1) / det, (u1 * w2 - u2 * w1) / det)
 
 
-def _crossings(param: RotationParameter):
+def _crossings(param: RotationParameter, offsets: list[int]):
     """Yield (chord_a, chord_b, point, ring) for every interior crossing, checked.
 
     Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the
-    crossing offsets k, ordered by i and then k.  With s = p*k mod q taken in
-    (-q/2, q/2), the two chords are mirror images across the bisector of
-    their midpoints, so they cross on it: on ring p - |s| at angle
-    pi*(p*(2i + 1) + s)/q.  Each crossing is located by line-line
-    intersection, and a point further from that place than
+    crossing offsets k (as crossing_offsets gives them), ordered by i and
+    then k.  With s = p*k mod q taken in (-q/2, q/2), the two chords are
+    mirror images across the bisector of their midpoints, so they cross on
+    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  Chord i + 1 runs
+    from vertex p*i to p*(i + 1) (mod q); its line u*x + v*y = w is built
+    once from those vertex_positions, and each crossing is located by
+    intersecting two such lines.  A point further from its place than
     min(RING_TOLERANCE, half the gap to each adjacent ring) raises
     RingAssignmentError.  A caller that only counts keeps no crossing.
     """
-    verts = vertex_positions(param)
-    chords = chord_list(param)
     p, q = param.p, param.q
-    places = []
-    for k in crossing_offsets(param):
-        s = p * k % q
-        if 2 * s > q:
-            s -= q
-        places.append((k, s, p - abs(s)))
-    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
+    verts = vertex_positions(param)
+    ends = [verts[p * n % q] for n in range(q + 1)]
+    lines = []
+    for (x1, y1), (x2, y2) in zip(ends, ends[1:]):
+        u, v = y2 - y1, x1 - x2
+        lines.append((u, v, u * x1 + v * y1))
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
     tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
-    for i, a in enumerate(chords):
-        pa1, pa2 = verts[a.from_vertex], verts[a.to_vertex]
-        for off, s, ring in places:
-            if i + off >= q:
+    places = []
+    for k in offsets:
+        s = p * k % q
+        if 2 * s > q:
+            s -= q
+        ring = p - abs(s)
+        places.append((k, s, ring, radii[ring], tolerance[ring]))
+    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
+    locate = _line_intersection
+    for i, line_a in enumerate(lines):
+        slot = p * (2 * i + 1)
+        for k, s, ring, r, tol in places:
+            if i + k >= q:
                 break
-            b = chords[i + off]
-            pt = _line_intersection(pa1, pa2, verts[b.from_vertex], verts[b.to_vertex])
-            ux, uy = unit[(p * (2 * i + 1) + s) % (2 * q)]
-            r = radii[ring]
+            pt = locate(line_a, lines[i + k])
+            ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
-            if not miss <= tolerance[ring]:  # a NaN fails too
+            if not miss <= tol:  # a NaN fails too
                 raise RingAssignmentError(
-                    f"crossing of chords {a.step_index},{b.step_index} at {pt!r} is "
+                    f"crossing of chords {i + 1},{i + 1 + k} at {pt!r} is "
                     f"{miss!r} from its place on ring {ring} of {p}/{q}",
-                    a.step_index,
+                    i + 1,
                 )
-            yield a.step_index, b.step_index, pt, ring
+            yield i + 1, i + 1 + k, pt, ring
 
 
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, located and checked by _crossings."""
-    return TrajectoryGeometry(param, tuple(Intersection(*c) for c in _crossings(param)))
+    crossings = _crossings(param, crossing_offsets(param))
+    return TrajectoryGeometry(param, tuple(Intersection(*c) for c in crossings))

@@ -8,7 +8,9 @@ every prefix and arrangement_census reads one prefix from.  Both count
 crossings from geometry.crossing_offsets, which is purely combinatorial;
 no floating point is involved.  verify_pair also runs the float ring
 check, which counts the crossings per ring as geometry._crossings streams
-them, each held to its exact place there.
+them, each held to its exact place there.  verify_pair computes the
+offsets once and hands them to all three; the public counters compute
+their own.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import RotationParameter
 from .formula import (
@@ -45,14 +48,14 @@ class ArrangementCensus:
     faces_count: int
 
 
-def _crossing_counts(param: RotationParameter) -> list[int]:
+def _crossing_counts(q: int, offsets: list[int]) -> list[int]:
     """counts[n-1] = number of chords among 1..n-1 crossed by chord n.
 
     Chord n crosses chord n - k exactly when k is a crossing offset, so the
     count is the number of offsets below n: a prefix sum of their indicator.
     """
-    hit = [0] * param.q
-    for k in crossing_offsets(param):
+    hit = [0] * q
+    for k in offsets:
         hit[k] = 1
     return list(itertools.accumulate(hit))
 
@@ -63,7 +66,11 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     Valid because no three chords meet in a single interior point, so every
     crossing splits exactly one existing region in two.
     """
-    increments = [1 + c for c in _crossing_counts(param)]
+    return _oracle_sequence(param, crossing_offsets(param))
+
+
+def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
+    increments = [1 + c for c in _crossing_counts(param.q, offsets)]
     return DivisionSequence.from_increments(param, increments, SequenceSource.ORACLE)
 
 
@@ -77,10 +84,16 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
     is (0, 0, 1) by convention.
     """
+    return _census_prefixes(param, crossing_offsets(param))
+
+
+def _census_prefixes(
+    param: RotationParameter, offsets: list[int]
+) -> list[ArrangementCensus]:
     out = [ArrangementCensus(0, 0, 1)]
     touched = set()
     crossings = 0
-    chords = zip(chord_list(param), _crossing_counts(param))
+    chords = zip(chord_list(param), _crossing_counts(param.q, offsets))
     for n, (ch, count) in enumerate(chords, start=1):
         touched.add(ch.from_vertex)
         touched.add(ch.to_vertex)
@@ -132,20 +145,20 @@ def _first_divergence(xs, ys) -> int | None:
     return None
 
 
-def _ring_check(param: RotationParameter) -> CheckResult:
+def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
 
-    Counts per ring as _crossings yields and checks each crossing; for one
-    off its place, the step index of its earlier chord is the divergence.  On
-    ring p - |s| the crossings sit at slots p + s + 2p*i (mod 2q) of the 2q
-    directions pi*m/q; with gcd(p, q) = 1 the q of them are the q slots of
-    one parity, so they are equally spaced.
+    Counts per ring as _crossings yields the crossings of the given offsets
+    and checks each; for one off its place, the step index of its earlier
+    chord is the divergence.  On ring p - |s| the crossings sit at slots
+    p + s + 2p*i (mod 2q) of the 2q directions pi*m/q; with gcd(p, q) = 1
+    the q of them are the q slots of one parity, so they are equally spaced.
     """
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
         return CheckResult("rings", False)
     try:
-        per_ring = Counter(ring for *_, ring in _crossings(param))
+        per_ring = Counter(map(itemgetter(3), _crossings(param, offsets)))
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
     return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), param.q))
@@ -154,12 +167,14 @@ def _ring_check(param: RotationParameter) -> CheckResult:
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    Failures become report entries rather than exceptions so exhaustive
-    scans can aggregate them.
+    The crossing offsets are computed once and serve the oracle count, the
+    census and the ring check.  Failures become report entries rather than
+    exceptions so exhaustive scans can aggregate them.
     """
+    offsets = crossing_offsets(param)
     try:
         general = general_sequence(param)
-        oracle = oracle_sequence(param)
+        oracle = _oracle_sequence(param, offsets)
     except ValueError:
         return VerificationReport(
             param, (CheckResult("sequence_construction", False),)
@@ -169,7 +184,7 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     div = _first_divergence(general.values, oracle.values)
     checks.append(CheckResult("general_vs_oracle", div is None, div))
 
-    census = census_prefixes(param)
+    census = _census_prefixes(param, offsets)
     faces = tuple(c.faces_count for c in census)
     div = _first_divergence(faces, general.values)
     checks.append(CheckResult("census_vs_general", div is None, div))
@@ -192,5 +207,5 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
         div = _first_divergence(simplified.values, general.values)
         checks.append(CheckResult("r1_form", div is None, div))
 
-    checks.append(_ring_check(param))
+    checks.append(_ring_check(param, offsets))
     return VerificationReport(param, tuple(checks))

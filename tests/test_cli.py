@@ -250,18 +250,38 @@ def test_color_toggle(monkeypatch):
     assert cli._colorize("x", "32") == "x"
 
 
-def test_module_entry_point():
+def _child_env():
     # The child interpreter must import the package the tests import, also
     # from a checkout that is not installed.
     package_parent = str(Path(circle_billiards.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(
         filter(None, [package_parent, os.environ.get("PYTHONPATH")])
     )
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "circle_billiards", "seq", "-p", "3", "-q", "13"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 2 3 4 5 7 10 13 16 20 25 30 35 40"
+
+
+def test_seq_into_closed_pipe_exits_quietly():
+    # As in `billiard seq -p 3 -q 999998 | head -c 20`: the reader closes
+    # the pipe long before the roughly 12 MB of output are written.
+    with subprocess.Popen(
+        [sys.executable, "-m", "circle_billiards", "seq", "-p", "3", "-q", "999998"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        assert proc.stdout.read(20) == b"1 2 3 4 5 6 7 8 9 10"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")

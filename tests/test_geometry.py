@@ -182,6 +182,34 @@ def test_ring_structure_scan():
         _assert_rings_equally_spaced(rp, geo.intersections)
 
 
+def _worst_distance_from_place(rp):
+    """Largest distance of a located crossing from its exact place.
+
+    Chords i + 1 and i + 1 + k cross on ring p - |s| at angle
+    pi*(p*(2i + 1) + s)/q, with s = p*k mod q taken in (-q/2, q/2).
+    """
+    p, q = rp.p, rp.q
+    radii = [rr.normalized_radius for rr in ring_radii(rp)]
+    worst = 0.0
+    for x in intersection_points(rp).intersections:
+        s = p * (x.chord_b - x.chord_a) % q
+        if 2 * s > q:
+            s -= q
+        assert x.ring == p - abs(s), (rp, x)
+        angle = math.pi * ((p * (2 * x.chord_a - 1) + s) % (2 * q)) / q
+        r = radii[x.ring]
+        worst = max(worst, math.dist(x.point, (r * math.cos(angle), r * math.sin(angle))))
+    return worst
+
+
+def test_locator_keeps_its_digits():
+    # Far inside RING_TOLERANCE (about 1e-14 and 7e-14 measured): a locator
+    # that loses digits but still passes the check would silently shrink
+    # the range of q over which the check means something.
+    assert max(_worst_distance_from_place(rp) for rp in coprime_rotations(60)) <= 1e-13
+    assert _worst_distance_from_place(make_rotation(249, 499)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "patched",
     [

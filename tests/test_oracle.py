@@ -110,6 +110,21 @@ def test_verify_pair_scan_all_green():
         assert report.ok, (rp.p, rp.q, report.failures())
 
 
+def test_verify_pair_computes_offsets_once(monkeypatch):
+    calls = []
+    true_offsets = geometry.crossing_offsets
+
+    def counted(param):
+        calls.append(param)
+        return true_offsets(param)
+
+    monkeypatch.setattr(geometry, "crossing_offsets", counted)
+    monkeypatch.setattr(oracle, "crossing_offsets", counted)
+    report = verify_pair(make_rotation(3, 13))
+    assert report.ok, report.failures()
+    assert len(calls) == 1
+
+
 _true_chords = geometry.chord_list
 
 
