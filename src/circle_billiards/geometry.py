@@ -117,13 +117,13 @@ def ring_radii(param: RotationParameter) -> list[RingRadius]:
     ]
 
 
-def _line_intersection(line_a, line_b) -> tuple[float, float]:
-    # Lines (u, v, w) mean u*x + v*y = w.  Crossing chords are never
-    # parallel, so the determinant is nonzero.
-    u1, v1, w1 = line_a
-    u2, v2, w2 = line_b
-    det = u1 * v2 - u2 * v1
-    return ((w1 * v2 - w2 * v1) / det, (u1 * w2 - u2 * w1) / det)
+def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
+    # Lines x*c + y*s = d with unit normals (c, s); the error of the point
+    # scales with its radius.  Crossing chords are never parallel.
+    c1, s1 = normal_a
+    c2, s2 = normal_b
+    det = c1 * s2 - c2 * s1
+    return (d * (s2 - s1) / det, d * (c1 - c2) / det)
 
 
 def _crossings(param: RotationParameter, offsets: list[int]):
@@ -133,20 +133,24 @@ def _crossings(param: RotationParameter, offsets: list[int]):
     crossing offsets k (as crossing_offsets gives them), ordered by i and
     then k.  With s = p*k mod q taken in (-q/2, q/2), the two chords are
     mirror images across the bisector of their midpoints, so they cross on
-    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  Chord i + 1 runs
-    from vertex p*i to p*(i + 1) (mod q); its line u*x + v*y = w is built
-    once from those vertex_positions, and each crossing is located by
-    intersecting two such lines.  A point further from its place than
-    min(RING_TOLERANCE, half the gap to each adjacent ring) raises
-    RingAssignmentError.  A caller that only counts keeps no crossing.
+    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the
+    lines read one table of the 2q directions pi*m/q: chord i + 1 is the
+    line at distance cos(p*pi/q) along direction p*(2i + 1).  A chord whose
+    end j has vertex_positions[j] other than direction 2j (bit for bit) gets
+    a NaN normal.  A point further than min(RING_TOLERANCE, half the gap to
+    each adjacent ring) from its place raises RingAssignmentError.  A caller
+    that only counts keeps no crossing.
     """
     p, q = param.p, param.q
-    verts = vertex_positions(param)
-    ends = [verts[p * n % q] for n in range(q + 1)]
-    lines = []
-    for (x1, y1), (x2, y2) in zip(ends, ends[1:]):
-        u, v = y2 - y1, x1 - x2
-        lines.append((u, v, u * x1 + v * y1))
+    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
+    tied = [v == unit[2 * j] for j, v in enumerate(vertex_positions(param))]
+    normals = [
+        unit[p * (2 * n + 1) % (2 * q)]
+        if tied[p * n % q] and tied[p * (n + 1) % q]
+        else (math.nan, math.nan)
+        for n in range(q)
+    ]
+    d = unit[p][0]
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
@@ -158,14 +162,13 @@ def _crossings(param: RotationParameter, offsets: list[int]):
             s -= q
         ring = p - abs(s)
         places.append((k, s, ring, radii[ring], tolerance[ring]))
-    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
     locate = _line_intersection
-    for i, line_a in enumerate(lines):
+    for i, normal in enumerate(normals):
         slot = p * (2 * i + 1)
         for k, s, ring, r, tol in places:
             if i + k >= q:
                 break
-            pt = locate(line_a, lines[i + k])
+            pt = locate(normal, normals[i + k], d)
             ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
             if not miss <= tol:  # a NaN fails too

@@ -1,5 +1,6 @@
 import bisect
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +209,16 @@ def test_locator_keeps_its_digits():
     # the range of q over which the check means something.
     assert max(_worst_distance_from_place(rp) for rp in coprime_rotations(60)) <= 1e-13
     assert _worst_distance_from_place(make_rotation(249, 499)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [20001, 40001])
+def test_ring_check_holds_on_innermost_rings_at_large_q(q):
+    # The innermost rings have the smallest tolerance (half their gap, about
+    # q**-3), so a locator that loses digits would false-fail them first.
+    rp = make_rotation((q - 1) // 2, q)
+    inner = [k for k in crossing_offsets(rp) if min(rp.p * k % q, -rp.p * k % q) <= 5]
+    per_ring = Counter(ring for *_, ring in geometry._crossings(rp, inner))
+    assert per_ring == {ring: q for ring in range(rp.p - 5, rp.p)}
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,26 @@ def test_verify_pair_computes_offsets_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "form, check",
+    [
+        ("general_sequence", "sequence_construction"),
+        ("r1_sequence", "r1_form"),
+        ("special_sequence", "special_form"),
+    ],
+)
+def test_form_that_raises_fails_its_check(monkeypatch, capsys, form, check):
+    # 3/7 has both q = 2p + 1 and r = 1, so every closed form is built.
+    def refuse(*args):
+        raise ValueError(f"{form} refused")
+
+    monkeypatch.setattr(oracle, form, refuse)
+    report = verify_pair(make_rotation(3, 7))
+    assert [c.name for c in report.failures()] == [check]
+    assert cli.main(["verify", "--q-max", "7"]) == 1
+    assert f"FAIL p=3 q=7 check={check}" in capsys.readouterr().out.splitlines()
+
+
 _true_chords = geometry.chord_list
 
 
@@ -215,13 +235,23 @@ def _moved_vertex(param):
     return verts
 
 
+def _nudged_vertex(param):
+    # Vertex 7 of 2/9 one ulp off its direction: the bitwise tie to the
+    # direction table fails chords 8 and 9, as for _moved_vertex.
+    verts = _true_vertices(param)
+    x, y = verts[7]
+    verts[7] = (math.nextafter(x, 2.0), y)
+    return verts
+
+
 @pytest.mark.parametrize(
     "name, patch, pq, chord",
     [
         ("ring_radii", _scaled_radii, (3, 7), 1),
         ("vertex_positions", _moved_vertex, (2, 9), 3),
+        ("vertex_positions", _nudged_vertex, (2, 9), 3),
     ],
-    ids=["radius_table", "moved_vertex"],
+    ids=["radius_table", "moved_vertex", "nudged_vertex"],
 )
 def test_ring_check_reports_first_off_chord(monkeypatch, name, patch, pq, chord):
     monkeypatch.setattr(geometry, name, patch)
