@@ -18,8 +18,10 @@ from .geometry import ring_radii
 from .oracle import verify_pair
 from .render import RenderSpec, render_step_series, render_svg
 
-# The per-pair ring check locates q*(p-1) crossings, quadratic in q; beyond
-# this an explicit --force is required.
+# Each pair is O(q) (the ring check locates chord 1's crossings and takes
+# the rest from the rotational symmetry), so a scan grows about as q_max**3:
+# `verify --q-max 500` takes about a minute.  Beyond this an explicit
+# --force is required.
 VERIFY_Q_CAP = 500
 
 
@@ -100,7 +102,7 @@ def cmd_verify(args) -> int:
     if args.q_max > VERIFY_Q_CAP and not args.force:
         print(
             f"error: --q-max above {VERIFY_Q_CAP} needs --force "
-            "(verification is quadratic per pair)",
+            "(each pair is O(q), so the scan grows about as q-max cubed)",
             file=sys.stderr,
         )
         return 2
@@ -224,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--q-max", dest="q_max", type=int, required=True)
     vf.add_argument("--jobs", type=int, default=1, help="ignored; runs in one thread")
     vf.add_argument(
-        "--force", action="store_true", help=f"allow --q-max beyond {VERIFY_Q_CAP}"
+        "--force",
+        action="store_true",
+        help=f"allow --q-max beyond {VERIFY_Q_CAP} (the scan grows about as q-max cubed)",
     )
     vf.set_defaults(func=cmd_verify)
 

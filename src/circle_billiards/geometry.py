@@ -7,7 +7,9 @@ enters for coordinates, ring radii and rendering.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import RotationParameter
@@ -77,6 +79,15 @@ def chord_list(param: RotationParameter) -> list[Chord]:
     return [Chord((p * (n - 1)) % q, (p * n) % q, n) for n in range(1, q + 1)]
 
 
+def _interleaved(a0: int, a1: int, b0: int, b1: int, q: int) -> bool:
+    # Exactly one of b0, b1 on the open arc swept from a0 to a1; a shared
+    # vertex is a meeting on the boundary, not a crossing.
+    if a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
+        return False
+    span = (a1 - a0) % q
+    return ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
+
+
 def chords_cross(a: Chord, b: Chord, q: int) -> bool:
     """True iff the two chords cross at an interior point of the disc.
 
@@ -84,11 +95,7 @@ def chords_cross(a: Chord, b: Chord, q: int) -> bool:
     one endpoint of b lies on the open arc swept from a.from_vertex to
     a.to_vertex.  Chords sharing a vertex only meet on the boundary.
     """
-    a0, a1, b0, b1 = a.from_vertex, a.to_vertex, b.from_vertex, b.to_vertex
-    if a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
-        return False
-    span = (a1 - a0) % q
-    return ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
+    return _interleaved(a.from_vertex, a.to_vertex, b.from_vertex, b.to_vertex, q)
 
 
 def crossing_offsets(param: RotationParameter) -> list[int]:
@@ -96,11 +103,12 @@ def crossing_offsets(param: RotationParameter) -> list[int]:
 
     Chords n and n + k are chords 1 and 1 + k rotated by p*(n-1) vertex
     steps, so they cross exactly when k is listed here (indices mod q).
+    Chord 1 + k runs from vertex p*k to p*(k+1) (mod q), and the test is
+    the endpoint interleaving of chords_cross on those vertex numbers.
     Each chord crosses 2(p-1) others, and the list is closed under k -> q-k.
     """
-    chords = chord_list(param)
-    first = chords[0]
-    return [k for k in range(1, param.q) if chords_cross(first, chords[k], param.q)]
+    p, q = param.p, param.q
+    return [k for k in range(1, q) if _interleaved(0, p, p * k % q, p * (k + 1) % q, q)]
 
 
 def ring_radii(param: RotationParameter) -> list[RingRadius]:
@@ -184,3 +192,85 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, located and checked by _crossings."""
     crossings = _crossings(param, crossing_offsets(param))
     return TrajectoryGeometry(param, tuple(Intersection(*c) for c in crossings))
+
+
+def _first_untied_crossing(
+    p: int, q: int, offsets: list[int], untied: list[int]
+) -> int | None:
+    """Earlier chord of the first crossing, in _crossings' order, on an untied vertex.
+
+    Chord c + 1 (c from 0) runs from vertex p*c to p*(c + 1) (mod q), so
+    vertex j lies on the chords c + 1 with c = j/p and j/p - 1 (mod q).
+    _crossings visits the crossings (i + 1, i + 1 + k) by i, then k
+    ascending, while i + k < q.  It first visits chord c + 1 with i = c - k
+    for the largest offset k <= c, else with i = c and the smallest offset.
+    None when no visited crossing is on a chord through an untied vertex.
+    """
+    inverse = pow(p, -1, q)
+    chords = {c for j in untied for c in (j * inverse % q, (j * inverse - 1) % q)}
+    first = None
+    for c in chords:
+        below = bisect.bisect_right(offsets, c)
+        if below:
+            i = c - offsets[below - 1]
+        elif offsets and c + offsets[0] < q:
+            i = c
+        else:
+            continue
+        first = i if first is None else min(first, i)
+    return None if first is None else first + 1
+
+
+def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
+    """Crossings per ring over the full orbit, from the crossings of chord 1.
+
+    Every vertex_positions entry j must equal direction 2j of the table of
+    2q directions pi*m/q, bit for bit.  A vertex off it raises
+    RingAssignmentError for the first crossing, in _crossings' order, on a
+    chord through it, found from the offsets without locating anything.
+    Then the crossings of chord 1 with chords 1 + k, k in offsets, are
+    located and held to their places as _crossings holds them (same lines,
+    _line_intersection and tolerance); one off its place raises with chord
+    1.  With the vertices tied, chord i + 1 is chord 1 turned by table
+    slot 2p*i, so by the symmetry offset k puts q - k crossings on ring
+    p - |s|, with s = p*k mod q taken in (-q/2, q/2).
+    """
+    p, q = param.p, param.q
+
+    def direction(m):
+        return (math.cos(math.pi * m / q), math.sin(math.pi * m / q))
+
+    verts = vertex_positions(param)
+    untied = [j for j in range(q) if verts[j] != direction(2 * j)]
+    if untied:
+        chord = _first_untied_crossing(p, q, offsets, untied)
+        if chord is not None:
+            raise RingAssignmentError(
+                f"vertex {untied[0]} of {p}/{q} is off its table direction; the "
+                f"first crossing on an untied chord has earlier chord {chord}",
+                chord,
+            )
+    radii = [rr.normalized_radius for rr in ring_radii(param)]
+    half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
+    half_gaps = [math.inf, *half_gaps, math.inf]
+    tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
+    first = direction(p)
+    d = first[0]
+    locate = _line_intersection
+    counts = Counter()
+    for k in offsets:
+        s = p * k % q
+        if 2 * s > q:
+            s -= q
+        ring = p - abs(s)
+        pt = locate(first, direction(p * (2 * k + 1) % (2 * q)), d)
+        ux, uy = direction((p + s) % (2 * q))
+        miss = math.hypot(pt[0] - radii[ring] * ux, pt[1] - radii[ring] * uy)
+        if not miss <= tolerance[ring]:  # a NaN fails too
+            raise RingAssignmentError(
+                f"crossing of chords 1,{1 + k} at {pt!r} is {miss!r} from its "
+                f"place on ring {ring} of {p}/{q}",
+                1,
+            )
+        counts[ring] += q - k
+    return counts

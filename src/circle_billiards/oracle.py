@@ -7,18 +7,17 @@ census of the induced planar subdivision, which census_prefixes takes at
 every prefix and arrangement_census reads one prefix from.  Both count
 crossings from geometry.crossing_offsets, which is purely combinatorial;
 no floating point is involved.  verify_pair also runs the float ring
-check, which counts the crossings per ring as geometry._crossings streams
-them, each held to its exact place there.  verify_pair computes the
-offsets once and hands them to all three; the public counters compute
-their own.
+check, which ties the drawn vertices to the exact direction table, locates
+the crossings of chord 1 and takes the per-ring counts of the full orbit
+from its rotational symmetry.  verify_pair computes the offsets once and
+hands them to all three, and its every stage is O(q); the public counters
+compute their own offsets.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core import RotationParameter
 from .formula import (
@@ -31,7 +30,7 @@ from .formula import (
 )
 from .geometry import (
     RingAssignmentError,
-    _crossings,
+    _ring_counts,
     chord_list,
     crossing_offsets,
     ring_radii,
@@ -83,24 +82,23 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
     is (0, 0, 1) by convention.
     """
-    return _census_prefixes(param, crossing_offsets(param))
+    return [ArrangementCensus(*c) for c in _census_prefixes(param, crossing_offsets(param))]
 
 
 def _census_prefixes(
     param: RotationParameter, offsets: list[int]
-) -> list[ArrangementCensus]:
-    out = [ArrangementCensus(0, 0, 1)]
+) -> list[tuple[int, int, int]]:
+    """census_prefixes as (vertices, edges, faces) tuples, from the given offsets."""
     touched = set()
-    crossings = 0
-    chords = zip(chord_list(param), _crossing_counts(param.q, offsets))
-    for n, (ch, count) in enumerate(chords, start=1):
+    out = [(0, 0, 1)]
+    crossings = itertools.accumulate(_crossing_counts(param.q, offsets))
+    for n, (ch, x) in enumerate(zip(chord_list(param), crossings), start=1):
         touched.add(ch.from_vertex)
         touched.add(ch.to_vertex)
-        crossings += count
         t = len(touched)
-        v = t + crossings
-        e = t + n + 2 * crossings
-        out.append(ArrangementCensus(v, e, 1 + e - v))
+        v = t + x
+        e = t + n + 2 * x
+        out.append((v, e, 1 + e - v))
     return out
 
 
@@ -110,7 +108,7 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
         raise ValueError(f"upto_chord must be an int, got {upto_chord!r}")
     if not 0 <= upto_chord <= param.q:
         raise ValueError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
-    return census_prefixes(param)[upto_chord]
+    return ArrangementCensus(*_census_prefixes(param, crossing_offsets(param))[upto_chord])
 
 
 @dataclass(frozen=True)
@@ -147,17 +145,31 @@ def _first_divergence(xs, ys) -> int | None:
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
 
-    Counts per ring as _crossings yields the crossings of the given offsets
-    and checks each; for one off its place, the step index of its earlier
-    chord is the divergence.  On ring p - |s| the crossings sit at slots
-    p + s + 2p*i (mod 2q) of the 2q directions pi*m/q; with gcd(p, q) = 1
-    the q of them are the q slots of one parity, so they are equally spaced.
+    On ring p - |s| the crossings sit at slots p + s + 2p*i (mod 2q) of the
+    2q directions pi*m/q; with gcd(p, q) = 1 the q of them are the q slots
+    of one parity, so they are equally spaced.  The check is O(q), from the
+    exact rotational symmetry of the figure: geometry._ring_counts ties all
+    q vertices to the direction table bit for bit, so chord i + 1 is chord 1
+    turned by table slot 2p*i and crossing (i + 1, i + 1 + k) is crossing
+    (1, 1 + k) turned by it.  It then locates only the 2(p - 1) crossings
+    of chord 1, and counts each ring from the offsets: offset k puts q - k
+    crossings on ring p - |s|.  The first_divergence is the earlier chord
+    of the first crossing off its place in the order of geometry._crossings
+    (i, then k): 1 for a located miss, and for an untied vertex the first
+    crossing on a chord through it.
+
+    What the symmetry loses: the float rounding of the locator is sampled
+    on chord 1 alone, not on every crossing.  At p = (q - 1)/2 that
+    under-reports the worst miss of the five innermost rings 2-8 times
+    (q = 2001, 10001, 20001), and a locator wrong off chord 1 only would
+    pass.  The all-crossings loop stays as geometry._crossings behind
+    intersection_points, and tests drain its innermost rings at large q.
     """
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
         return CheckResult("rings", False)
     try:
-        per_ring = Counter(map(itemgetter(3), _crossings(param, offsets)))
+        per_ring = _ring_counts(param, offsets)
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
     return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), param.q))
@@ -194,13 +206,10 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     checks.append(CheckResult("general_vs_oracle", div is None, div))
 
     census = _census_prefixes(param, offsets)
-    faces = tuple(c.faces_count for c in census)
+    faces = tuple(f for _, _, f in census)
     div = _first_divergence(faces, general.values)
     checks.append(CheckResult("census_vs_general", div is None, div))
-
-    full = census[-1]
-    got = (full.vertices_count, full.edges_count, full.faces_count)
-    checks.append(CheckResult("full_orbit_census", got == euler_counts(param)))
+    checks.append(CheckResult("full_orbit_census", census[-1] == euler_counts(param)))
 
     if param.q == 2 * param.p + 1:
         checks.append(_form_check("special_form", special_sequence, param.p, general))

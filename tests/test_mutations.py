@@ -238,8 +238,12 @@ EXPECTED = {
         "3/7": (("r1_form", 2),),
         "3/13": (("r1_form", 4),),
     },
-    # Every crossing is located, so the first one off chord 1 is caught.
-    "spare_chord_one_locator": _beyond_p1(("rings", 2)),
+    # The documented blind spot of the O(q) ring check: it locates only the
+    # crossings of chord 1 and takes the rest from the rotational symmetry,
+    # so a locator wrong off chord 1 alone passes.  The full loop, which
+    # intersection_points still runs, reported chord 2 on every p >= 2 pair
+    # here; test_blind_spot_is_caught_by_the_full_loop keeps that evidence.
+    "spare_chord_one_locator": _everywhere(),
 }
 
 
@@ -252,3 +256,11 @@ def test_unmutated_pairs_pass():
     assert {f"{p}/{q}": _outcome((p, q)) for p, q in PAIRS} == dict.fromkeys(
         (f"{p}/{q}" for p, q in PAIRS), ()
     )
+
+
+def test_blind_spot_is_caught_by_the_full_loop(monkeypatch):
+    modules, attr, mutant = MUTATIONS["spare_chord_one_locator"]
+    monkeypatch.setattr(geometry, attr, functools.partial(mutant, getattr(geometry, attr)))
+    with pytest.raises(geometry.RingAssignmentError) as err:
+        geometry.intersection_points(make_rotation(3, 13))
+    assert err.value.chord_a == 2

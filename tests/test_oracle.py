@@ -269,3 +269,11 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     assert report.ok, report.failures()
     assert cli.main(["verify", "--q-max", "12"]) == 0
     assert "PASS: " in capsys.readouterr().out
+
+
+def test_verify_pair_holds_at_large_q():
+    # p near q/2: the pair has q*(p - 1), about 5e9, crossings, so every
+    # stage of verify_pair must be O(q) for this to run in about a second.
+    report = verify_pair(make_rotation(49999, 100001))
+    assert "rings" in [c.name for c in report.checks]
+    assert report.ok, report.failures()
