@@ -2,17 +2,19 @@
 
 Each case replaces one layer's function by a wrong one and runs verify_pair
 on every pair of PAIRS.  The table pins, for each pair, the failing checks
-with their first_divergence, in report order; "raises" would name an
-exception that escaped verify_pair.  An empty entry means no check caught
-the mutation there.  Those gaps are findings, not cases to drop:
+with their first_divergence, in report order; "raises" names an exception
+that escaped verify_pair instead.  An empty entry means no check caught the
+mutation there.  Those gaps, and the escape, are findings, not cases to drop:
 
 - a vertex mutation at p = 1, where no crossing involves any chord, so the
   ring check has nothing to tie the vertices through;
 - swap_chords: the census counts only which boundary vertices are touched,
   and its faces do not depend on them, so reordering chords is invisible;
-- the p = 1 rows of swap_rings, drop_offset, move_offset_pair and
-  move_plateau_boundary, where the mutation changes nothing (one ring, no
-  offset, no plateau boundary).
+- the p = 1 rows of swap_rings, the offset mutations other than
+  add_offset, and move_plateau_boundary, where the mutation changes
+  nothing (one ring, no offset, no plateau boundary);
+- move_offset_pair_far on 2/13 raises IndexError: the places index the
+  radius table by p - |s| unchecked, so an offset with |s| > 2p escapes.
 
 A closed form that does not apply to a pair (special_form needs q = 2p + 1,
 r1_form needs r = 1) is not built there, so its mutation cannot show.
@@ -28,9 +30,9 @@ from circle_billiards.core import make_rotation
 from circle_billiards.formula import DivisionSequence
 from circle_billiards.oracle import verify_pair
 
-# q = 2p + 1: 1/3, 2/5, 3/7; r = 1: 2/5, 2/9, 3/7, 3/13; p = 1: 1/3, 1/5;
-# r >= 2: 3/14, 5/13.
-PAIRS = [(1, 3), (1, 5), (2, 5), (2, 9), (3, 7), (3, 13), (3, 14), (5, 13)]
+# q = 2p + 1: 1/3, 2/5, 3/7; r = 1: 2/5, 2/9, 2/13, 3/7, 3/13; p = 1: 1/3,
+# 1/5; r >= 2: 3/14, 5/13.  In 2/13 a ring index p - |s| can fall below -p.
+PAIRS = [(1, 3), (1, 5), (2, 5), (2, 9), (2, 13), (3, 7), (3, 13), (3, 14), (5, 13)]
 
 
 def _rotate(true, param):
@@ -116,6 +118,18 @@ def _move_offset_pair(true, param):
     return sorted({1, q - 1, *offsets} - {k, q - k})
 
 
+def _move_offset_pair_far(true, param):
+    # As _move_offset_pair, but onto the pair k, q - k with |s| = q // 2
+    # (s = p*k mod q taken in (-q/2, q/2)): its ring p - |s| is 0 or
+    # negative, off the rings that carry crossings.
+    offsets = true(param)
+    if not offsets:
+        return offsets
+    k, q = offsets[0], param.q
+    far = q // 2 * pow(param.p, -1, q) % q
+    return sorted({far, q - far, *offsets} - {k, q - k})
+
+
 def _move_plateau_boundary(true, param):
     # The first change of increment moved one chord earlier.
     steps = true(param)
@@ -159,6 +173,7 @@ MUTATIONS = {
     "drop_offset": ((geometry, oracle), "crossing_offsets", _drop_offset),
     "add_offset": ((geometry, oracle), "crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "crossing_offsets", _move_offset_pair),
+    "move_offset_pair_far": ((geometry, oracle), "crossing_offsets", _move_offset_pair_far),
     "move_plateau_boundary": ((formula,), "_general_increments", _move_plateau_boundary),
     "change_special_value": ((oracle,), "special_sequence", _change_value),
     "change_r1_value": ((oracle,), "r1_sequence", _change_value),
@@ -194,8 +209,8 @@ def _everywhere(*outcome):
 
 EXPECTED = {
     "rotate_vertices": _beyond_p1(("rings", 1)),
-    "move_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),)},
-    "nudge_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),)},
+    "move_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),), "2/13": (("rings", 5),)},
+    "nudge_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),), "2/13": (("rings", 5),)},
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
     "pinch_chord": _everywhere(("full_orbit_census", None)),
@@ -205,6 +220,19 @@ EXPECTED = {
     "move_offset_pair": _beyond_p1(
         ("general_vs_oracle", 2), ("census_vs_general", 2), ("rings", None)
     ),
+    "move_offset_pair_far": {
+        "1/3": (),
+        "1/5": (),
+        "2/5": (("general_vs_oracle", 2), ("census_vs_general", 2), ("rings", None)),
+        "2/9": (("general_vs_oracle", 3), ("census_vs_general", 3), ("rings", 1)),
+        # Ring index 2 - 6 is off the end of the radius table.
+        "2/13": ("raises", "IndexError"),
+        "3/7": (("general_vs_oracle", 2), ("census_vs_general", 2), ("rings", None)),
+        "3/13": (("general_vs_oracle", 3), ("census_vs_general", 3), ("rings", 1)),
+        # q even: k = q - k = 7, so the crossing total changes.
+        "3/14": (("sequence_construction", None),),
+        "5/13": (("general_vs_oracle", 3), ("census_vs_general", 3), ("rings", 1)),
+    },
     "move_plateau_boundary": {
         "1/3": (),
         "1/5": (),
@@ -215,6 +243,7 @@ EXPECTED = {
             ("r1_form", 2),
         ),
         "2/9": (("general_vs_oracle", 4), ("census_vs_general", 4), ("r1_form", 4)),
+        "2/13": (("general_vs_oracle", 6), ("census_vs_general", 6), ("r1_form", 6)),
         "3/7": (
             ("general_vs_oracle", 2),
             ("census_vs_general", 2),
@@ -235,14 +264,15 @@ EXPECTED = {
         **_everywhere(),
         "2/5": (("r1_form", 2),),
         "2/9": (("r1_form", 4),),
+        "2/13": (("r1_form", 6),),
         "3/7": (("r1_form", 2),),
         "3/13": (("r1_form", 4),),
     },
     # The documented blind spot of the O(q) ring check: it locates only the
     # crossings of chord 1 and takes the rest from the rotational symmetry,
-    # so a locator wrong off chord 1 alone passes.  The full loop, which
-    # intersection_points still runs, reported chord 2 on every p >= 2 pair
-    # here; test_blind_spot_is_caught_by_the_full_loop keeps that evidence.
+    # so a locator wrong off chord 1 alone passes.  intersection_points,
+    # which locates every crossing, reports chord 2 on every p >= 2 pair
+    # (test_blind_spot_is_caught_by_the_full_loop).
     "spare_chord_one_locator": _everywhere(),
 }
 
@@ -259,8 +289,10 @@ def test_unmutated_pairs_pass():
 
 
 def test_blind_spot_is_caught_by_the_full_loop(monkeypatch):
-    modules, attr, mutant = MUTATIONS["spare_chord_one_locator"]
+    _, attr, mutant = MUTATIONS["spare_chord_one_locator"]
     monkeypatch.setattr(geometry, attr, functools.partial(mutant, getattr(geometry, attr)))
-    with pytest.raises(geometry.RingAssignmentError) as err:
-        geometry.intersection_points(make_rotation(3, 13))
-    assert err.value.chord_a == 2
+    for p, q in PAIRS:
+        if p > 1:
+            with pytest.raises(geometry.RingAssignmentError) as err:
+                geometry.intersection_points(make_rotation(p, q))
+            assert err.value.chord_a == 2, (p, q)
