@@ -162,8 +162,9 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     on chord 1 alone, not on every crossing.  At p = (q - 1)/2 that
     under-reports the worst miss of the five innermost rings 2-8 times
     (8.0, 2.3 and 2.4 at q = 2001, 10001 and 20001), and a locator wrong
-    off chord 1 only would pass.  The all-crossings loop stays as geometry._crossings behind
-    intersection_points, and tests drain its innermost rings at large q.
+    off chord 1 only would pass.  The all-crossings loop stays as
+    geometry._crossings behind intersection_points, and tests drain its
+    innermost rings at large q.
     """
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
