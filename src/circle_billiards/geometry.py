@@ -7,7 +7,6 @@ enters for coordinates, ring radii and rendering.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -134,24 +133,34 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
     return (d * (s2 - s1) / det, d * (c1 - c2) / det)
 
 
-def _crossings(param: RotationParameter, offsets: list[int]):
-    """Yield (chord_a, chord_b, point, ring) for every interior crossing, checked.
+def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = None):
+    """Yield (chord_a, chord_b, point, ring) for interior crossings, checked.
 
     Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the
     crossing offsets k (as crossing_offsets gives them), ordered by i and
-    then k.  With s = p*k mod q taken in (-q/2, q/2), the two chords are
-    mirror images across the bisector of their midpoints, so they cross on
-    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the
-    lines read one table of the 2q directions pi*m/q: chord i + 1 is the
-    line at distance cos(p*pi/q) along direction p*(2i + 1).  A chord whose
-    end j has vertex_positions[j] other than direction 2j (bit for bit) gets
-    a NaN normal.  A point further than min(RING_TOLERANCE, half the gap to
-    each adjacent ring) from its place raises RingAssignmentError.  A caller
-    that only counts keeps no crossing.
+    then k, over the rows i < rows (every row when rows is None).  With
+    s = p*k mod q taken in (-q/2, q/2), the two chords are mirror images
+    across the bisector of their midpoints, so they cross on it: on ring
+    p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the lines read
+    one table of the 2q directions pi*m/q: chord i + 1 is the line at
+    distance cos(p*pi/q) along direction p*(2i + 1).  A chord whose end j
+    has vertex_positions[j] other than direction 2j (bit for bit) gets a
+    NaN normal, and an offset whose ring p - |s| is negative (off the
+    radius table) a NaN place.  A point further than min(RING_TOLERANCE,
+    half the gap to each adjacent ring) from its place raises
+    RingAssignmentError.  A caller that only counts keeps no crossing.
+
+    With every vertex tied, chord i + 1 is chord 1 turned by table slot
+    2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
+    it, so the first rows stand for the rest.  One untied vertex breaks
+    that symmetry: then every row is visited, and the loop raises at the
+    first crossing on a chord through an untied vertex.
     """
     p, q = param.p, param.q
     unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
     tied = [v == unit[2 * j] for j, v in enumerate(vertex_positions(param))]
+    if rows is None or not all(tied):
+        rows = q
     normals = [
         unit[p * (2 * n + 1) % (2 * q)]
         if tied[p * n % q] and tied[p * (n + 1) % q]
@@ -169,9 +178,11 @@ def _crossings(param: RotationParameter, offsets: list[int]):
         if 2 * s > q:
             s -= q
         ring = p - abs(s)
-        places.append((k, s, ring, radii[ring], tolerance[ring]))
+        r, tol = (radii[ring], tolerance[ring]) if ring >= 0 else (math.nan, math.nan)
+        places.append((k, s, ring, r, tol))
     locate = _line_intersection
-    for i, normal in enumerate(normals):
+    for i in range(rows):
+        normal = normals[i]
         slot = p * (2 * i + 1)
         for k, s, ring, r, tol in places:
             if i + k >= q:
@@ -194,83 +205,19 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     return TrajectoryGeometry(param, tuple(Intersection(*c) for c in crossings))
 
 
-def _first_untied_crossing(
-    p: int, q: int, offsets: list[int], untied: list[int]
-) -> int | None:
-    """Earlier chord of the first crossing, in _crossings' order, on an untied vertex.
-
-    Chord c + 1 (c from 0) runs from vertex p*c to p*(c + 1) (mod q), so
-    vertex j lies on the chords c + 1 with c = j/p and j/p - 1 (mod q).
-    _crossings visits the crossings (i + 1, i + 1 + k) by i, then k
-    ascending, while i + k < q.  It first visits chord c + 1 with i = c - k
-    for the largest offset k <= c, else with i = c and the smallest offset.
-    None when no visited crossing is on a chord through an untied vertex.
-    """
-    inverse = pow(p, -1, q)
-    chords = {c for j in untied for c in (j * inverse % q, (j * inverse - 1) % q)}
-    first = None
-    for c in chords:
-        below = bisect.bisect_right(offsets, c)
-        if below:
-            i = c - offsets[below - 1]
-        elif offsets and c + offsets[0] < q:
-            i = c
-        else:
-            continue
-        first = i if first is None else min(first, i)
-    return None if first is None else first + 1
-
-
 def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
-    """Crossings per ring over the full orbit, from the crossings of chord 1.
+    """Crossings per ring over the full orbit, from chord 1's row of _crossings.
 
-    Every vertex_positions entry j must equal direction 2j of the table of
-    2q directions pi*m/q, bit for bit.  A vertex off it raises
-    RingAssignmentError for the first crossing, in _crossings' order, on a
-    chord through it, found from the offsets without locating anything.
-    Then the crossings of chord 1 with chords 1 + k, k in offsets, are
-    located and held to their places as _crossings holds them (same lines,
-    _line_intersection and tolerance); one off its place raises with chord
-    1.  With the vertices tied, chord i + 1 is chord 1 turned by table
-    slot 2p*i, so by the symmetry offset k puts q - k crossings on ring
-    p - |s|, with s = p*k mod q taken in (-q/2, q/2).
+    By the symmetry _crossings states, crossing (1, b) stands for the q + 1 - b
+    crossings (i + 1, i + b) with i + b <= q, all on its ring.  An untied
+    vertex or a crossing off its place raises RingAssignmentError, as in
+    _crossings.  What the row loses: rounding is sampled on chord 1 only,
+    which at p = (q - 1)/2 under-reports the worst miss of the five
+    innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001 and
+    20001), and a locator wrong only off chord 1 passes.
     """
-    p, q = param.p, param.q
-
-    def direction(m):
-        return (math.cos(math.pi * m / q), math.sin(math.pi * m / q))
-
-    verts = vertex_positions(param)
-    untied = [j for j in range(q) if verts[j] != direction(2 * j)]
-    if untied:
-        chord = _first_untied_crossing(p, q, offsets, untied)
-        if chord is not None:
-            raise RingAssignmentError(
-                f"vertex {untied[0]} of {p}/{q} is off its table direction; the "
-                f"first crossing on an untied chord has earlier chord {chord}",
-                chord,
-            )
-    radii = [rr.normalized_radius for rr in ring_radii(param)]
-    half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
-    half_gaps = [math.inf, *half_gaps, math.inf]
-    tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
-    first = direction(p)
-    d = first[0]
-    locate = _line_intersection
+    q = param.q
     counts = Counter()
-    for k in offsets:
-        s = p * k % q
-        if 2 * s > q:
-            s -= q
-        ring = p - abs(s)
-        pt = locate(first, direction(p * (2 * k + 1) % (2 * q)), d)
-        ux, uy = direction((p + s) % (2 * q))
-        miss = math.hypot(pt[0] - radii[ring] * ux, pt[1] - radii[ring] * uy)
-        if not miss <= tolerance[ring]:  # a NaN fails too
-            raise RingAssignmentError(
-                f"crossing of chords 1,{1 + k} at {pt!r} is {miss!r} from its "
-                f"place on ring {ring} of {p}/{q}",
-                1,
-            )
-        counts[ring] += q - k
+    for _, b, _, ring in _crossings(param, offsets, rows=1):
+        counts[ring] += q + 1 - b
     return counts

@@ -8,8 +8,8 @@ every prefix and arrangement_census reads one prefix from.  Both count
 crossings from geometry.crossing_offsets, which is purely combinatorial;
 no floating point is involved.  verify_pair also runs the float ring
 check, which ties the drawn vertices to the exact direction table, locates
-the crossings of chord 1 and takes the per-ring counts of the full orbit
-from its rotational symmetry.  verify_pair computes the offsets once and
+the crossings of chord 1 with the loop behind intersection_points and
+takes the per-ring counts of the full orbit from its rotational symmetry.  verify_pair computes the offsets once and
 hands them to all three, and its every stage is O(q); the public counters
 compute their own offsets.
 """
@@ -145,26 +145,13 @@ def _first_divergence(xs, ys) -> int | None:
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
 
-    On ring p - |s| the crossings sit at slots p + s + 2p*i (mod 2q) of the
-    2q directions pi*m/q; with gcd(p, q) = 1 the q of them are the q slots
-    of one parity, so they are equally spaced.  The check is O(q), from the
-    exact rotational symmetry of the figure: geometry._ring_counts ties all
-    q vertices to the direction table bit for bit, so chord i + 1 is chord 1
-    turned by table slot 2p*i and crossing (i + 1, i + 1 + k) is crossing
-    (1, 1 + k) turned by it.  It then locates only the 2(p - 1) crossings
-    of chord 1, and counts each ring from the offsets: offset k puts q - k
-    crossings on ring p - |s|.  The first_divergence is the earlier chord
-    of the first crossing off its place in the order of geometry._crossings
-    (i, then k): 1 for a located miss, and for an untied vertex the first
-    crossing on a chord through it.
-
-    What the symmetry loses: the float rounding of the locator is sampled
-    on chord 1 alone, not on every crossing.  At p = (q - 1)/2 that
-    under-reports the worst miss of the five innermost rings 2-8 times
-    (8.0, 2.3 and 2.4 at q = 2001, 10001 and 20001), and a locator wrong
-    off chord 1 only would pass.  The all-crossings loop stays as
-    geometry._crossings behind intersection_points, and tests drain its
-    innermost rings at large q.
+    The radii order is checked first; the per-ring counts of the full orbit
+    come from geometry._ring_counts, which reads chord 1's row of
+    geometry._crossings (see there for the symmetry that makes it stand for
+    every row), and must equal {1..p-1: q}.  first_divergence is the earlier
+    chord of the first crossing off its place, in the order of
+    geometry._crossings (1 for a miss on chord 1); None when only the radii
+    order or the counts are wrong.
     """
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):

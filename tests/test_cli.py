@@ -260,6 +260,25 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": pythonpath}
 
 
+def test_runtime_imports_only_the_standard_library():
+    # -S: no site module, so no .pth hook imports a third-party module first,
+    # and site-packages is off the path, so importing one fails outright.
+    code = (
+        "import sys; before = set(sys.modules); import circle_billiards.cli; "
+        "print(*{m.partition('.')[0] for m in set(sys.modules) - before})"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "circle_billiards" in new
+    assert new - sys.stdlib_module_names == {"circle_billiards"}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "circle_billiards", "seq", "-p", "3", "-q", "13"],

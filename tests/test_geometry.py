@@ -296,6 +296,8 @@ def _check_against_pairwise_reference(rp):
     for x in geo.intersections:
         assert x.ring == _nearest_ring(ascending, math.hypot(*x.point)), (rp, x)
     _assert_rings_equally_spaced(rp, geo.intersections)
+    # The ring check's chord-1 row, scaled by the symmetry, against every crossing.
+    assert geometry._ring_counts(rp, offsets) == Counter(x.ring for x in geo.intersections)
 
 
 def test_crossing_offsets_match_pairwise_reference():

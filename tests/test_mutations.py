@@ -4,7 +4,7 @@ Each case replaces one layer's function by a wrong one and runs verify_pair
 on every pair of PAIRS.  The table pins, for each pair, the failing checks
 with their first_divergence, in report order; "raises" names an exception
 that escaped verify_pair instead.  An empty entry means no check caught the
-mutation there.  Those gaps, and the escape, are findings, not cases to drop:
+mutation there.  Those gaps are findings, not cases to drop:
 
 - a vertex mutation at p = 1, where no crossing involves any chord, so the
   ring check has nothing to tie the vertices through;
@@ -12,9 +12,7 @@ mutation there.  Those gaps, and the escape, are findings, not cases to drop:
   and its faces do not depend on them, so reordering chords is invisible;
 - the p = 1 rows of swap_rings, the offset mutations other than
   add_offset, and move_plateau_boundary, where the mutation changes
-  nothing (one ring, no offset, no plateau boundary);
-- move_offset_pair_far on 2/13 raises IndexError: the places index the
-  radius table by p - |s| unchecked, so an offset with |s| > 2p escapes.
+  nothing (one ring, no offset, no plateau boundary).
 
 A closed form that does not apply to a pair (special_form needs q = 2p + 1,
 r1_form needs r = 1) is not built there, so its mutation cannot show.
@@ -225,8 +223,7 @@ EXPECTED = {
         "1/5": (),
         "2/5": (("general_vs_oracle", 2), ("census_vs_general", 2), ("rings", None)),
         "2/9": (("general_vs_oracle", 3), ("census_vs_general", 3), ("rings", 1)),
-        # Ring index 2 - 6 is off the end of the radius table.
-        "2/13": ("raises", "IndexError"),
+        "2/13": (("general_vs_oracle", 4), ("census_vs_general", 4), ("rings", 1)),
         "3/7": (("general_vs_oracle", 2), ("census_vs_general", 2), ("rings", None)),
         "3/13": (("general_vs_oracle", 3), ("census_vs_general", 3), ("rings", 1)),
         # q even: k = q - k = 7, so the crossing total changes.

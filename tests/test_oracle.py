@@ -263,10 +263,20 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the ring check built a crossing object")
 
+    locate = geometry._line_intersection
+    located = []
+
+    def counted(*ends):
+        located.append(ends)
+        return locate(*ends)
+
     monkeypatch.setattr(geometry, "Intersection", refuse)
     monkeypatch.setattr(geometry, "TrajectoryGeometry", refuse)
+    monkeypatch.setattr(geometry, "_line_intersection", counted)
     report = verify_pair(make_rotation(3, 13))
     assert report.ok, report.failures()
+    # Only chord 1's 2(p - 1) crossings are located, not all q(p - 1).
+    assert len(located) == 4
     assert cli.main(["verify", "--q-max", "12"]) == 0
     assert "PASS: " in capsys.readouterr().out
 
