@@ -208,11 +208,11 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
 def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
     """Crossings per ring over the full orbit, from chord 1's row of _crossings.
 
-    By the symmetry _crossings states, crossing (1, b) stands for the q + 1 - b
-    crossings (i + 1, i + b) with i + b <= q, all on its ring.  An untied
-    vertex or a crossing off its place raises RingAssignmentError, as in
-    _crossings.  What the row loses: rounding is sampled on chord 1 only,
-    which at p = (q - 1)/2 under-reports the worst miss of the five
+    By the symmetry _crossings states, crossing (1, b) stands for the
+    q + 1 - b crossings (i + 1, i + b) with i + b <= q, all on its ring.  An
+    untied vertex or a crossing off its place raises RingAssignmentError,
+    as in _crossings.  What the row loses: rounding is sampled on chord 1
+    only, which at p = (q - 1)/2 under-reports the worst miss of the five
     innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001 and
     20001), and a locator wrong only off chord 1 passes.
     """

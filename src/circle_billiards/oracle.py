@@ -9,9 +9,9 @@ crossings from geometry.crossing_offsets, which is purely combinatorial;
 no floating point is involved.  verify_pair also runs the float ring
 check, which ties the drawn vertices to the exact direction table, locates
 the crossings of chord 1 with the loop behind intersection_points and
-takes the per-ring counts of the full orbit from its rotational symmetry.  verify_pair computes the offsets once and
-hands them to all three, and its every stage is O(q); the public counters
-compute their own offsets.
+takes the per-ring counts of the full orbit from its rotational symmetry.
+verify_pair computes the offsets once and hands them to all three, and its
+every stage is O(q); the public counters compute their own offsets.
 """
 
 from __future__ import annotations
