@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import circle_billiards
 from circle_billiards import cli, geometry
 from circle_billiards.cli import main, run_verification
+from test_mutations import apply_mutation
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +124,30 @@ def test_verify_names_first_off_chord(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--q-max", "5")
     assert code == 1
     assert out.splitlines()[0] == "FAIL p=2 q=5 check=rings first_divergence=1"
+
+
+# The p >= 2 pairs with q <= 11: under move_offset_pair each fails the oracle
+# and census counts at chord 2 and the ring counts.
+MOVED_OFFSET_PAIRS = [
+    (2, 5), (2, 7), (3, 7), (3, 8), (2, 9), (4, 9), (3, 10), (2, 11), (3, 11), (4, 11), (5, 11)
+]
+
+
+def test_verify_prints_every_failure(capsys, monkeypatch):
+    apply_mutation(monkeypatch, "move_offset_pair")
+    code, out, _ = run_cli(capsys, "verify", "--q-max", "11")
+    assert code == 1
+    expected = [
+        line
+        for p, q in MOVED_OFFSET_PAIRS
+        for line in (
+            f"FAIL p={p} q={q} check=general_vs_oracle first_divergence=2",
+            f"FAIL p={p} q={q} check=census_vs_general first_divergence=2",
+            f"FAIL p={p} q={q} check=rings",
+        )
+    ]
+    expected.append("FAIL: 33 check(s) failed over 20 pairs (… ms)")
+    assert re.sub(r"\(\d+ ms\)", "(… ms)", out).splitlines() == expected
 
 
 def test_verify_usage_errors(capsys):

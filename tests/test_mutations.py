@@ -187,12 +187,17 @@ def _outcome(pq):
     return tuple((c.name, c.first_divergence) for c in report.failures())
 
 
-def run_mutation(monkeypatch, name):
-    """{pair: outcome} for the named mutation over PAIRS."""
+def apply_mutation(monkeypatch, name):
+    """Replace the named mutation's function in each module MUTATIONS lists."""
     modules, attr, mutant = MUTATIONS[name]
     wrong = functools.partial(mutant, getattr(modules[0], attr))
     for module in modules:
         monkeypatch.setattr(module, attr, wrong)
+
+
+def run_mutation(monkeypatch, name):
+    """{pair: outcome} for the named mutation over PAIRS."""
+    apply_mutation(monkeypatch, name)
     return {f"{p}/{q}": _outcome((p, q)) for p, q in PAIRS}
 
 
