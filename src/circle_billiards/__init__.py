@@ -2,9 +2,9 @@
 
 A trajectory rotating by (p/q) * 2*pi per bounce closes after q chords and
 cuts the disc into p*q + 1 regions.  This package computes the exact
-region-count sequence f_0..f_q in closed form, validates it against
-independent brute-force counters, exposes the trajectory geometry (chords,
-crossings, crossing rings), and renders the figures as SVG.
+region-count sequence f_0..f_q in closed form, validates it against two
+brute-force counters, exposes the trajectory geometry (chords, crossings,
+crossing rings), and renders the figures as SVG.
 """
 
 from .core import (

@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ParameterError, coprime_rotations, make_rotation
+from .core import ParameterError, RotationParameter, coprime_rotations, make_rotation
 from .formula import general_sequence, special_sequence
 from .geometry import ring_radii
-from .oracle import verify_pair
+from .oracle import CheckResult, verify_pair
 from .render import RenderSpec, render_step_series, render_svg
 
 # Each pair is O(q) (the ring check locates chord 1's crossings and takes
@@ -26,37 +26,28 @@ VERIFY_Q_CAP = 500
 
 
 @dataclass(frozen=True)
-class ScanFailure:
-    p: int
-    q: int
-    check_name: str
-    first_divergence_index: int | None
-
-
-@dataclass(frozen=True)
 class ScanResult:
     pairs_checked: int
-    failures: tuple[ScanFailure, ...]
+    failures: tuple[tuple[RotationParameter, CheckResult], ...]
     elapsed_ms: int
 
 
 def run_verification(q_max: int, jobs: int = 1) -> ScanResult:
     """Verify every valid (p, q) with q <= q_max, in parameter order.
 
-    jobs is accepted and ignored: the checks are pure Python, so worker
-    threads would only take turns holding the interpreter lock.
+    Keeps the number of pairs and each failed check with its pair; nothing
+    is kept of the checks that pass.  jobs is accepted and ignored: the
+    checks are pure Python, so worker threads would only take turns holding
+    the interpreter lock.
     """
-    params = list(coprime_rotations(q_max))
     start = time.perf_counter()
-    reports = [verify_pair(pm) for pm in params]
-    failures = tuple(
-        ScanFailure(rep.param.p, rep.param.q, c.name, c.first_divergence)
-        for rep in reports
-        for c in rep.checks
-        if not c.passed
-    )
+    pairs_checked = 0
+    failures = []
+    for param in coprime_rotations(q_max):
+        pairs_checked += 1
+        failures.extend((param, check) for check in verify_pair(param).failures())
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return ScanResult(len(params), failures, elapsed_ms)
+    return ScanResult(pairs_checked, tuple(failures), elapsed_ms)
 
 
 def _colorize(text: str, code: str) -> str:
@@ -110,28 +101,20 @@ def cmd_verify(args) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     result = run_verification(args.q_max, args.jobs)
-    for f in result.failures:
+    for param, check in result.failures:
         where = (
             ""
-            if f.first_divergence_index is None
-            else f" first_divergence={f.first_divergence_index}"
+            if check.first_divergence is None
+            else f" first_divergence={check.first_divergence}"
         )
-        print(f"FAIL p={f.p} q={f.q} check={f.check_name}{where}")
-    if result.failures:
-        print(
-            _colorize(
-                f"FAIL: {len(result.failures)} check(s) failed over "
-                f"{result.pairs_checked} pairs",
-                "31",
-            )
-            + f" ({result.elapsed_ms} ms)"
-        )
-        return 1
-    print(
-        _colorize(f"PASS: {result.pairs_checked} pairs", "32")
-        + f" ({result.elapsed_ms} ms)"
-    )
-    return 0
+        print(f"FAIL p={param.p} q={param.q} check={check.name}{where}")
+    failed = len(result.failures)
+    if failed:
+        summary = f"FAIL: {failed} check(s) failed over {result.pairs_checked} pairs"
+    else:
+        summary = f"PASS: {result.pairs_checked} pairs"
+    print(_colorize(summary, "31" if failed else "32") + f" ({result.elapsed_ms} ms)")
+    return 1 if failed else 0
 
 
 def cmd_radii(args) -> int:

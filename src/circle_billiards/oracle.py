@@ -1,17 +1,22 @@
 """Brute-force region counters: exact ground truth for the formula module.
 
-Two accountings are kept deliberately separate so a bug in one cannot
-silently confirm the other: an incremental count (each chord adds one
-region per earlier chord it crosses, plus one) and a vertex/edge/face
-census of the induced planar subdivision, which census_prefixes takes at
-every prefix and arrangement_census reads one prefix from.  Both count
-crossings from geometry.crossing_offsets, which is purely combinatorial;
-no floating point is involved.  verify_pair also runs the float ring
-check, which ties the drawn vertices to the exact direction table, locates
-the crossings of chord 1 with the loop behind intersection_points and
-takes the per-ring counts of the full orbit from its rotational symmetry.
-verify_pair computes the offsets once and hands them to all three, and its
-every stage is O(q); the public counters compute their own offsets.
+Two accountings: an incremental count (each chord adds one region per
+earlier chord it crosses, plus one) and a vertex/edge/face census of the
+induced planar subdivision, which census_prefixes takes at every prefix and
+arrangement_census reads one prefix from.  They are not independent: both
+read _crossing_counts, and with n chords drawn, t boundary vertices touched
+and x crossings the census has v = t + x and e = t + n + 2x, so its faces
+1 + e - v = 1 + n + x are the incremental f_n for every input (t cancels).
+census_vs_general therefore fails exactly where general_vs_oracle does; the
+census adds its own evidence only through v and e, which only the
+full_orbit_census check reads.  Both count crossings from
+geometry.crossing_offsets, which is purely combinatorial; no floating point
+is involved.  verify_pair also runs the float ring check, which ties the
+drawn vertices to the exact direction table, locates the crossings of
+chord 1 with the loop behind intersection_points and takes the per-ring
+counts of the full orbit from its rotational symmetry.  verify_pair
+computes the offsets once and hands them to all three, and its every stage
+is O(q); the public counters compute their own offsets.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import RotationParameter
+from .core import RotationParameter, _require_ints
 from .formula import (
     DivisionSequence,
     SequenceSource,
@@ -104,8 +109,7 @@ def _census_prefixes(
 
 def arrangement_census(param: RotationParameter, upto_chord: int) -> ArrangementCensus:
     """Euler census of the first upto_chord chords: census_prefixes(param)[upto_chord]."""
-    if isinstance(upto_chord, bool) or not isinstance(upto_chord, int):
-        raise ValueError(f"upto_chord must be an int, got {upto_chord!r}")
+    _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
         raise ValueError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
     return ArrangementCensus(*_census_prefixes(param, crossing_offsets(param))[upto_chord])
@@ -133,13 +137,14 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _first_divergence(xs, ys) -> int | None:
+def _compare(name: str, xs, ys) -> CheckResult:
+    """Check name passes iff xs == ys; else first_divergence is the first index that differs."""
     for n, (x, y) in enumerate(zip(xs, ys)):
         if x != y:
-            return n
+            return CheckResult(name, False, n)
     if len(xs) != len(ys):
-        return min(len(xs), len(ys))
-    return None
+        return CheckResult(name, False, min(len(xs), len(ys)))
+    return CheckResult(name, True)
 
 
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
@@ -169,8 +174,7 @@ def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
         values = form(arg).values
     except ValueError:
         return CheckResult(name, False)
-    div = _first_divergence(values, general.values)
-    return CheckResult(name, div is None, div)
+    return _compare(name, values, general.values)
 
 
 def verify_pair(param: RotationParameter) -> VerificationReport:
@@ -188,16 +192,12 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
         return VerificationReport(
             param, (CheckResult("sequence_construction", False),)
         )
-    checks = []
-
-    div = _first_divergence(general.values, oracle.values)
-    checks.append(CheckResult("general_vs_oracle", div is None, div))
-
     census = _census_prefixes(param, offsets)
-    faces = tuple(f for _, _, f in census)
-    div = _first_divergence(faces, general.values)
-    checks.append(CheckResult("census_vs_general", div is None, div))
-    checks.append(CheckResult("full_orbit_census", census[-1] == euler_counts(param)))
+    checks = [
+        _compare("general_vs_oracle", general.values, oracle.values),
+        _compare("census_vs_general", tuple(f for _, _, f in census), general.values),
+        CheckResult("full_orbit_census", census[-1] == euler_counts(param)),
+    ]
 
     if param.q == 2 * param.p + 1:
         checks.append(_form_check("special_form", special_sequence, param.p, general))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RotationParameter
+from .core import RotationParameter, _require_ints
 from .formula import general_sequence
 from .geometry import chord_list, ring_radii, vertex_positions
 
@@ -27,17 +27,13 @@ class RenderSpec:
     caption: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.upto_chord, bool) or not isinstance(self.upto_chord, int):
-            raise ValueError(f"upto_chord must be an int, got {self.upto_chord!r}")
+        _require_ints(upto_chord=self.upto_chord, canvas_size_px=self.canvas_size_px)
         if not 0 <= self.upto_chord <= self.param.q:
             raise ValueError(
                 f"upto_chord must be in 0..{self.param.q}, got {self.upto_chord}"
             )
-        size = self.canvas_size_px
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ValueError(f"canvas_size_px must be an int, got {size!r}")
-        if size < 64:
-            raise ValueError(f"canvas_size_px must be at least 64, got {size}")
+        if self.canvas_size_px < 64:
+            raise ValueError(f"canvas_size_px must be at least 64, got {self.canvas_size_px}")
 
 
 def _fmt(x: float) -> str:

@@ -10,6 +10,8 @@ import pytest
 import circle_billiards
 from circle_billiards import cli, geometry
 from circle_billiards.cli import main, run_verification
+from circle_billiards.core import RotationParameter, coprime_rotations
+from circle_billiards.oracle import CheckResult
 from test_mutations import apply_mutation
 
 
@@ -148,6 +150,22 @@ def test_verify_prints_every_failure(capsys, monkeypatch):
     ]
     expected.append("FAIL: 33 check(s) failed over 20 pairs (… ms)")
     assert re.sub(r"\(\d+ ms\)", "(… ms)", out).splitlines() == expected
+
+
+def test_verify_keeps_each_failed_check_with_its_pair(monkeypatch):
+    apply_mutation(monkeypatch, "move_offset_pair")
+    failures = run_verification(11).failures
+    assert MOVED_OFFSET_PAIRS == [(rp.p, rp.q) for rp in coprime_rotations(11) if rp.p > 1]
+    assert [(param.p, param.q, check.name) for param, check in failures] == [
+        (p, q, name)
+        for p, q in MOVED_OFFSET_PAIRS
+        for name in ("general_vs_oracle", "census_vs_general", "rings")
+    ]
+    assert all(
+        isinstance(param, RotationParameter) and isinstance(check, CheckResult)
+        and not check.passed
+        for param, check in failures
+    )
 
 
 def test_verify_usage_errors(capsys):
