@@ -22,6 +22,8 @@ class RingAssignmentError(RuntimeError):
     """An interior crossing lies off the exact place its chords fix.
 
     chord_a is the step index of the earlier chord of the first such crossing.
+    At p = 1, where no chords cross, it is raised for a vertex off its table
+    direction instead, and chord_a is the first chord through that vertex.
     """
 
     def __init__(self, message: str, chord_a: int) -> None:
@@ -154,7 +156,11 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
     it, so the first rows stand for the rest.  One untied vertex breaks
     that symmetry: then every row is visited, and the loop raises at the
-    first crossing on a chord through an untied vertex.
+    first crossing on a chord through an untied vertex.  At p >= 2 each
+    chord crosses 2(p - 1) others, so the loop always gets there; at p = 1
+    nothing crosses, and the error names the first chord through the first
+    untied vertex j after the loop: chord j (vertex j - 1 to j), or chord 1
+    when j = 0.
     """
     p, q = param.p, param.q
     unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
@@ -197,6 +203,9 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
                     i + 1,
                 )
             yield i + 1, i + 1 + k, pt, ring
+    if not all(tied):
+        j = tied.index(False)
+        raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", j or 1)
 
 
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:

@@ -6,8 +6,6 @@ with their first_divergence, in report order; "raises" names an exception
 that escaped verify_pair instead.  An empty entry means no check caught the
 mutation there.  Those gaps are findings, not cases to drop:
 
-- a vertex mutation at p = 1, where no crossing involves any chord, so the
-  ring check has nothing to tie the vertices through;
 - swap_chords: the census counts only which boundary vertices are touched,
   and its faces do not depend on them, so reordering chords is invisible;
 - the p = 1 rows of swap_rings, the offset mutations other than
@@ -211,9 +209,19 @@ def _everywhere(*outcome):
 
 
 EXPECTED = {
-    "rotate_vertices": _beyond_p1(("rings", 1)),
-    "move_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),), "2/13": (("rings", 5),)},
-    "nudge_vertex": {**_beyond_p1(("rings", 1)), "2/9": (("rings", 3),), "2/13": (("rings", 5),)},
+    "rotate_vertices": _everywhere(("rings", 1)),
+    "move_vertex": {
+        **_everywhere(("rings", 1)),
+        "1/5": (("rings", 3),),
+        "2/9": (("rings", 3),),
+        "2/13": (("rings", 5),),
+    },
+    "nudge_vertex": {
+        **_everywhere(("rings", 1)),
+        "1/5": (("rings", 3),),
+        "2/9": (("rings", 3),),
+        "2/13": (("rings", 5),),
+    },
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
     "pinch_chord": _everywhere(("full_orbit_census", None)),
