@@ -129,7 +129,7 @@ def test_verify_names_first_off_chord(capsys, monkeypatch):
 
 
 # The p >= 2 pairs with q <= 11: under move_offset_pair each fails the oracle
-# and census counts at chord 2 and the ring counts.
+# and census counts at f_2, and the ring counts.
 MOVED_OFFSET_PAIRS = [
     (2, 5), (2, 7), (3, 7), (3, 8), (2, 9), (4, 9), (3, 10), (2, 11), (3, 11), (4, 11), (5, 11)
 ]
