@@ -259,6 +259,42 @@ def test_ring_check_reports_first_off_chord(monkeypatch, name, patch, pq, chord)
     assert (check.passed, check.first_divergence) == (False, chord)
 
 
+def _first_chord_through(rp, j):
+    # Reference: the earlier chord of the first crossing (i + 1, i + 1 + k),
+    # in loop order (i, then ascending offsets k), that has vertex j as an
+    # endpoint of either chord.  At p = 1 nothing crosses: chord j, or 1.
+    p, q = rp.p, rp.q
+    if p == 1:
+        return j or 1
+
+    def ends(n):  # chord n runs from vertex p(n - 1) to pn (mod q)
+        return {p * (n - 1) % q, p * n % q}
+
+    return next(
+        i + 1
+        for i in range(q)
+        for k in geometry.crossing_offsets(rp)
+        if i + k < q and j in ends(i + 1) | ends(i + 1 + k)
+    )
+
+
+def test_ring_check_names_first_chord_through_any_untied_vertex(monkeypatch):
+    true_vertices = geometry.vertex_positions
+    for rp in coprime_rotations(30):
+        for j in range(rp.q):
+
+            def nudged(param, j=j):
+                verts = true_vertices(param)
+                x, y = verts[j]
+                verts[j] = (math.nextafter(x, 2.0), y)
+                return verts
+
+            monkeypatch.setattr(geometry, "vertex_positions", nudged)
+            check = _rings_check(verify_pair(rp))
+            expected = (False, _first_chord_through(rp, j))
+            assert (check.passed, check.first_divergence) == expected, (rp.p, rp.q, j)
+
+
 def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the ring check built a crossing object")
