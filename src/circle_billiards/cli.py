@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ParameterError, RotationParameter, coprime_rotations, make_rotation
+from .core import RotationParameter, coprime_rotations, make_rotation
 from .formula import general_sequence, special_sequence
 from .geometry import ring_radii
 from .oracle import CheckResult, verify_pair
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:  # ParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -68,14 +68,14 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
     return RotationParameter(p=p, q=q, m=m, r=r)
 
 
-def coprime_rotations(q_max: int, q_min: int = 3) -> Iterator[RotationParameter]:
-    """All valid parameters with q_min <= q <= q_max, ordered by (q, p)."""
-    _require_ints(q_max=q_max, q_min=q_min)
+def coprime_rotations(q_max: int) -> Iterator[RotationParameter]:
+    """All valid parameters with q <= q_max, ordered by (q, p)."""
+    _require_ints(q_max=q_max)
     if q_max > MAX_Q:
         raise ParameterError(f"q_max must be at most {MAX_Q}, got {q_max}")
     return (
         make_rotation(p, q)
-        for q in range(q_min, q_max + 1)
+        for q in range(3, q_max + 1)
         for p in range(1, (q - 1) // 2 + 1)
         if math.gcd(p, q) == 1
     )

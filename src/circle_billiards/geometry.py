@@ -24,9 +24,10 @@ class RingAssignmentError(RuntimeError):
     chord_a is the step index of the earlier chord of the first such crossing.
     At p = 1, where no chords cross, it is raised for a vertex off its table
     direction instead, and chord_a is the first chord through that vertex.
+    Ring radii that do not strictly decrease raise it with chord_a None.
     """
 
-    def __init__(self, message: str, chord_a: int) -> None:
+    def __init__(self, message: str, chord_a: int | None) -> None:
         super().__init__(message)
         self.chord_a = chord_a
 
@@ -138,19 +139,24 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
 def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = None):
     """Yield (chord_a, chord_b, point, ring) for interior crossings, checked.
 
-    Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the
-    crossing offsets k (as crossing_offsets gives them), ordered by i and
-    then k, over the rows i < rows (every row when rows is None).  With
-    s = p*k mod q taken in (-q/2, q/2), the two chords are mirror images
-    across the bisector of their midpoints, so they cross on it: on ring
-    p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the lines read
-    one table of the 2q directions pi*m/q: chord i + 1 is the line at
-    distance cos(p*pi/q) along direction p*(2i + 1).  A chord whose end j
-    has vertex_positions[j] other than direction 2j (bit for bit) gets a
-    NaN normal, and an offset whose ring p - |s| is negative (off the
-    radius table) a NaN place.  A point further than min(RING_TOLERANCE,
-    half the gap to each adjacent ring) from its place raises
-    RingAssignmentError.  A caller that only counts keeps no crossing.
+    The one reader and judge of the ring set-up: radii that do not strictly
+    decrease raise RingAssignmentError with chord_a None before anything
+    else.  Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come
+    from the crossing offsets k (as crossing_offsets gives them), ordered
+    by i and then k, over the rows i < rows (every row when rows is None).
+    With s = p*k mod q taken in (-q/2, q/2), the two chords are mirror
+    images across the bisector of their midpoints, so they cross on it: on
+    ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the lines
+    read one table of the 2q directions pi*m/q: chord n + 1 is the line at
+    distance cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and
+    i + 1 + k read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  Vertex j
+    is untied when vertex_positions[j] differs from direction 2j (bit for
+    bit); the lines then read a copy of the table with NaN at slots 2j +- p,
+    the normals of the two chords through j.  An offset whose ring p - |s|
+    is negative (off the radius table) gets a NaN place.  A point further
+    than min(RING_TOLERANCE, half the gap to each adjacent ring) from its
+    place raises RingAssignmentError.  A caller that only counts keeps no
+    crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
@@ -163,19 +169,18 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
     when j = 0.
     """
     p, q = param.p, param.q
-    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
-    tied = [v == unit[2 * j] for j, v in enumerate(vertex_positions(param))]
-    if rows is None or not all(tied):
-        rows = q
-    normals = [
-        unit[p * (2 * n + 1) % (2 * q)]
-        if tied[p * n % q] and tied[p * (n + 1) % q]
-        else (math.nan, math.nan)
-        for n in range(q)
-    ]
-    d = unit[p][0]
     radii = [rr.normalized_radius for rr in ring_radii(param)]
-    half_gaps = [abs(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
+    if any(a <= b for a, b in zip(radii, radii[1:])):
+        raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
+    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
+    untied = [j for j, v in enumerate(vertex_positions(param)) if v != unit[2 * j]]
+    if rows is None or untied:
+        rows = q
+    normals = unit.copy() if untied else unit
+    for j in untied:
+        normals[(2 * j + p) % (2 * q)] = normals[(2 * j - p) % (2 * q)] = (math.nan, math.nan)
+    d = unit[p][0]
+    half_gaps = [(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
     tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
     places = []
@@ -188,12 +193,12 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
         places.append((k, s, ring, r, tol))
     locate = _line_intersection
     for i in range(rows):
-        normal = normals[i]
         slot = p * (2 * i + 1)
+        normal = normals[slot % (2 * q)]
         for k, s, ring, r, tol in places:
             if i + k >= q:
                 break
-            pt = locate(normal, normals[i + k], d)
+            pt = locate(normal, normals[(slot + 2 * s) % (2 * q)], d)
             ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
             if not miss <= tol:  # a NaN fails too
@@ -203,8 +208,8 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
                     i + 1,
                 )
             yield i + 1, i + 1 + k, pt, ring
-    if not all(tied):
-        j = tied.index(False)
+    if untied:
+        j = untied[0]
         raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", j or 1)
 
 
@@ -218,9 +223,9 @@ def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
     """Crossings per ring over the full orbit, from chord 1's row of _crossings.
 
     By the symmetry _crossings states, crossing (1, b) stands for the
-    q + 1 - b crossings (i + 1, i + b) with i + b <= q, all on its ring.  An
-    untied vertex or a crossing off its place raises RingAssignmentError,
-    as in _crossings.  What the row loses: rounding is sampled on chord 1
+    q + 1 - b crossings (i + 1, i + b) with i + b <= q, all on its ring.
+    Radii out of order, an untied vertex or a crossing off its place raise
+    RingAssignmentError, as in _crossings.  What the row loses: rounding is sampled on chord 1
     only, which at p = (q - 1)/2 under-reports the worst miss of the five
     innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001 and
     20001), and a locator wrong only off chord 1 passes.

@@ -38,7 +38,6 @@ from .geometry import (
     _ring_counts,
     chord_list,
     crossing_offsets,
-    ring_radii,
 )
 
 
@@ -148,19 +147,14 @@ def _compare(name: str, xs, ys) -> CheckResult:
 
 
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
-    """Radii strictly decrease, each crossing is at its exact place, q per ring 1..p-1.
+    """The "rings" check: geometry._ring_counts must give {1..p-1: q}.
 
-    The radii order is checked first; the per-ring counts of the full orbit
-    come from geometry._ring_counts, which reads chord 1's row of
-    geometry._crossings (see there for the symmetry that makes it stand for
-    every row), and must equal {1..p-1: q}.  first_divergence is the earlier
-    chord of the first crossing off its place, in the order of
-    geometry._crossings (1 for a miss on chord 1); None when only the radii
-    order or the counts are wrong.
+    See geometry._crossings for the ring set-up it judges and the symmetry
+    that lets chord 1's row stand for every row.  first_divergence is the
+    chord_a of the RingAssignmentError raised (the earlier chord of the
+    first crossing off its place, or None for radii out of order), or None
+    when only the counts are wrong.
     """
-    radii = [rr.normalized_radius for rr in ring_radii(param)]
-    if any(a <= b for a, b in zip(radii, radii[1:])):
-        return CheckResult("rings", False)
     try:
         per_ring = _ring_counts(param, offsets)
     except RingAssignmentError as err:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import circle_billiards
-from circle_billiards import cli, geometry
+from circle_billiards import cli
 from circle_billiards.cli import main, run_verification
 from circle_billiards.core import RotationParameter, coprime_rotations
 from circle_billiards.oracle import CheckResult
@@ -113,16 +113,7 @@ def test_verify_small_scan(capsys):
 def test_verify_names_first_off_chord(capsys, monkeypatch):
     # Rings 1..p-1 pushed out by 1e-6: the first crossing, of chords 1 and 3
     # of 2/5, is already off its place.
-    true_radii = geometry.ring_radii
-
-    def pushed_out(param):
-        table = true_radii(param)
-        return table[:1] + [
-            geometry.RingRadius(rr.ring_index, rr.normalized_radius * (1 + 1e-6))
-            for rr in table[1:]
-        ]
-
-    monkeypatch.setattr(geometry, "ring_radii", pushed_out)
+    apply_mutation(monkeypatch, "scale_rings")
     code, out, _ = run_cli(capsys, "verify", "--q-max", "5")
     assert code == 1
     assert out.splitlines()[0] == "FAIL p=2 q=5 check=rings first_divergence=1"

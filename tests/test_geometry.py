@@ -222,24 +222,27 @@ def test_ring_check_holds_on_innermost_rings_at_large_q(q):
 
 
 @pytest.mark.parametrize(
-    "patched",
+    "patched, chord_a",
     [
-        lambda r: [r[0], r[2], r[1]],  # rings 1 and 2 swapped
-        lambda r: [r[0], r[2] + 0.01, r[2]],  # ring 1 moved next to ring 2
-        lambda r: [r[0], r[1], r[1] - 0.01],  # ring 2 moved next to ring 1
+        (lambda r: [r[0], r[2], r[1]], type(None)),  # rings 1 and 2 swapped
+        (lambda r: [r[0], r[2] + 0.01, r[2]], int),  # ring 1 moved next to ring 2
+        (lambda r: [r[0], r[1], r[1] - 0.01], int),  # ring 2 moved next to ring 1
     ],
     ids=["swapped", "outer_moved_in", "inner_moved_out"],
 )
-def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched):
+def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched, chord_a):
     # Each patched table of 3/7 puts some crossing nearer another ring than
-    # its own, which the loose RING_TOLERANCE alone would let pass.
+    # its own, which the loose RING_TOLERANCE alone would let pass.  The
+    # swapped radii fail the order check before any crossing is located
+    # (chord_a None); the moved ones fail the half-gap cap at a crossing.
     rp = make_rotation(3, 7)
     radii = patched([rr.normalized_radius for rr in ring_radii(rp)])
     table = [RingRadius(i, r) for i, r in enumerate(radii)]
     monkeypatch.setattr(geometry, "RING_TOLERANCE", 1.0)
     monkeypatch.setattr(geometry, "ring_radii", lambda param: table)
-    with pytest.raises(RingAssignmentError):
+    with pytest.raises(RingAssignmentError) as err:
         intersection_points(rp)
+    assert type(err.value.chord_a) is chord_a
 
 
 def test_no_triple_intersections():

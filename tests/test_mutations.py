@@ -162,8 +162,8 @@ MUTATIONS = {
     "rotate_vertices": ((geometry,), "vertex_positions", _rotate),
     "move_vertex": ((geometry,), "vertex_positions", _move),
     "nudge_vertex": ((geometry,), "vertex_positions", _nudge),
-    "scale_rings": ((geometry, oracle), "ring_radii", _scale_rings),
-    "swap_rings": ((geometry, oracle), "ring_radii", _swap_rings),
+    "scale_rings": ((geometry,), "ring_radii", _scale_rings),
+    "swap_rings": ((geometry,), "ring_radii", _swap_rings),
     "pinch_chord": ((oracle,), "chord_list", _pinch),
     "swap_chords": ((oracle,), "chord_list", _swap_chords),
     "drop_offset": ((geometry, oracle), "crossing_offsets", _drop_offset),

@@ -11,6 +11,7 @@ from circle_billiards.oracle import (
     oracle_sequence,
     verify_pair,
 )
+from test_mutations import apply_mutation
 
 
 def test_oracle_sequence_examples():
@@ -145,29 +146,14 @@ def test_form_that_raises_fails_its_check(monkeypatch, capsys, form, check):
     assert f"FAIL p=3 q=7 check={check}" in capsys.readouterr().out.splitlines()
 
 
-_true_chords = geometry.chord_list
-
-
-def _pinched_chords(param):
-    # Vertex 2p (mod q) moved onto vertex 0: chord 2 ends, and chord 3
-    # starts, on an already-touched vertex, so the full orbit touches q - 1.
-    lost = 2 * param.p % param.q
-    return [
-        geometry.Chord(
-            0 if ch.from_vertex == lost else ch.from_vertex,
-            0 if ch.to_vertex == lost else ch.to_vertex,
-            ch.step_index,
-        )
-        for ch in _true_chords(param)
-    ]
-
-
 @pytest.mark.parametrize("pq", [(2, 5), (3, 13), (3, 14)])
 def test_full_orbit_census_fails_on_pinched_chord(monkeypatch, pq):
     # Faces do not depend on the touched count, so only the full-orbit
     # vertex and edge totals can catch it.
     rp = make_rotation(*pq)
-    monkeypatch.setattr(oracle, "chord_list", _pinched_chords)
+    # Vertex 2p (mod q) moved onto vertex 0: chord 2 ends, and chord 3
+    # starts, on an already-touched vertex, so the full orbit touches q - 1.
+    apply_mutation(monkeypatch, "pinch_chord")
     full = census_prefixes(rp)[-1]
     assert (full.vertices_count, full.edges_count) == (rp.p * rp.q - 1, 2 * rp.p * rp.q - 1)
     report = verify_pair(rp)
@@ -214,47 +200,22 @@ def test_ring_check_tolerates_tiny_tangential_shift(monkeypatch):
     assert report.ok, report.failures()
 
 
-_true_radii = geometry.ring_radii
-_true_vertices = geometry.vertex_positions
-
-
-def _scaled_radii(param):
-    # Rings 1..p-1 pushed out by 1e-6 of their radius: every crossing is off.
-    table = _true_radii(param)
-    return table[:1] + [
-        geometry.RingRadius(rr.ring_index, rr.normalized_radius * (1 + 1e-6))
-        for rr in table[1:]
-    ]
-
-
-def _moved_vertex(param):
-    # Vertex 7 of 2/9 is shared by chords 8 and 9, which cross chords 3, 4
-    # and 5; the first of those crossings in loop order is (3, 8).
-    verts = _true_vertices(param)
-    verts[7] = (math.cos(4.9), math.sin(4.9))
-    return verts
-
-
-def _nudged_vertex(param):
-    # Vertex 7 of 2/9 one ulp off its direction: the bitwise tie to the
-    # direction table fails chords 8 and 9, as for _moved_vertex.
-    verts = _true_vertices(param)
-    x, y = verts[7]
-    verts[7] = (math.nextafter(x, 2.0), y)
-    return verts
-
-
 @pytest.mark.parametrize(
-    "name, patch, pq, chord",
+    "mutation, pq, chord",
     [
-        ("ring_radii", _scaled_radii, (3, 7), 1),
-        ("vertex_positions", _moved_vertex, (2, 9), 3),
-        ("vertex_positions", _nudged_vertex, (2, 9), 3),
+        # Rings 1..p-1 pushed out by 1e-6 of their radius: every crossing is off.
+        ("scale_rings", (3, 7), 1),
+        # Vertex 7 of 2/9 is shared by chords 8 and 9, which cross chords 3,
+        # 4 and 5; the first of those crossings in loop order is (3, 8).
+        ("move_vertex", (2, 9), 3),
+        # Vertex 7 of 2/9 one ulp off its direction: the bitwise tie to the
+        # direction table fails chords 8 and 9, as for move_vertex.
+        ("nudge_vertex", (2, 9), 3),
     ],
     ids=["radius_table", "moved_vertex", "nudged_vertex"],
 )
-def test_ring_check_reports_first_off_chord(monkeypatch, name, patch, pq, chord):
-    monkeypatch.setattr(geometry, name, patch)
+def test_ring_check_reports_first_off_chord(monkeypatch, mutation, pq, chord):
+    apply_mutation(monkeypatch, mutation)
     check = _rings_check(verify_pair(make_rotation(*pq)))
     assert (check.passed, check.first_divergence) == (False, chord)
 
@@ -306,13 +267,24 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
         located.append(ends)
         return locate(*ends)
 
+    true_radii = geometry.ring_radii
+    read = []
+
+    def radii_counted(param):
+        read.append(param)
+        return true_radii(param)
+
     monkeypatch.setattr(geometry, "Intersection", refuse)
     monkeypatch.setattr(geometry, "TrajectoryGeometry", refuse)
     monkeypatch.setattr(geometry, "_line_intersection", counted)
+    monkeypatch.setattr(geometry, "ring_radii", radii_counted)
+    monkeypatch.setattr(oracle, "ring_radii", radii_counted, raising=False)
     report = verify_pair(make_rotation(3, 13))
     assert report.ok, report.failures()
-    # Only chord 1's 2(p - 1) crossings are located, not all q(p - 1).
+    # Only chord 1's 2(p - 1) crossings are located, not all q(p - 1), and
+    # the radii are read once, by geometry._crossings.
     assert len(located) == 4
+    assert len(read) == 1
     assert cli.main(["verify", "--q-max", "12"]) == 0
     assert "PASS: " in capsys.readouterr().out
 
