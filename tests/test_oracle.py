@@ -231,10 +231,11 @@ def _first_chord_through(rp, j):
     def ends(n):  # chord n runs from vertex p(n - 1) to pn (mod q)
         return {p * (n - 1) % q, p * n % q}
 
+    offsets = geometry.crossing_offsets(rp)
     return next(
         i + 1
         for i in range(q)
-        for k in geometry.crossing_offsets(rp)
+        for k in offsets
         if i + k < q and j in ends(i + 1) | ends(i + 1 + k)
     )
 
