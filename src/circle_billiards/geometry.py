@@ -22,9 +22,9 @@ class RingAssignmentError(RuntimeError):
     """An interior crossing lies off the exact place its chords fix.
 
     chord_a is the step index of the earlier chord of the first such crossing.
-    At p = 1, where no chords cross, it is raised for a vertex off its table
-    direction instead, and chord_a is the first chord through that vertex.
-    Ring radii that do not strictly decrease raise it with chord_a None.
+    A drawn vertex off its table direction raises it first, with chord_a the
+    first chord in step order through an untied vertex.  Ring radii that do
+    not strictly decrease raise it with chord_a None.
     """
 
     def __init__(self, message: str, chord_a: int | None) -> None:
@@ -136,49 +136,44 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
     return (d * (s2 - s1) / det, d * (c1 - c2) / det)
 
 
-def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = None):
+def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     """Yield (chord_a, chord_b, point, ring) for interior crossings, checked.
 
     The one reader and judge of the ring set-up: radii that do not strictly
     decrease raise RingAssignmentError with chord_a None before anything
-    else.  Crossing pairs (chord i + 1, chord i + 1 + k), i 0-based, come
-    from the crossing offsets k (as crossing_offsets gives them), ordered
-    by i and then k, over the rows i < rows (every row when rows is None).
-    With s = p*k mod q taken in (-q/2, q/2), the two chords are mirror
-    images across the bisector of their midpoints, so they cross on it: on
-    ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the lines
-    read one table of the 2q directions pi*m/q: chord n + 1 is the line at
-    distance cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and
-    i + 1 + k read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  Vertex j
-    is untied when vertex_positions[j] differs from direction 2j (bit for
-    bit); the lines then read a copy of the table with NaN at slots 2j +- p,
-    the normals of the two chords through j.  An offset whose ring p - |s|
-    is negative (off the radius table) gets a NaN place.  A point further
-    than min(RING_TOLERANCE, half the gap to each adjacent ring) from its
-    place raises RingAssignmentError.  A caller that only counts keeps no
+    else.  Then each vertex is tied to the direction table in the order the
+    trajectory visits it: vertex p*n (mod q), for n = 0..q-1, must equal
+    direction 2*(p*n mod q) bit for bit.  It ends chord n and starts chord
+    n + 1, so the first untied vertex raises with chord_a n (1 when n = 0),
+    the first chord in step order through any untied vertex.  Crossing
+    pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
+    offsets k (as crossing_offsets gives them), ordered by i and then k,
+    over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the
+    two chords are mirror images across the bisector of their midpoints, so
+    they cross on it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The
+    places and the lines read one table of the 2q directions pi*m/q: chord
+    n + 1 is the line at distance cos(p*pi/q) along direction p*(2n + 1),
+    so chords i + 1 and i + 1 + k read slots p*(2i + 1) and
+    p*(2i + 1) + 2s (mod 2q).  An offset whose ring p - |s| is negative
+    (off the radius table) gets a NaN place.  A point further than
+    min(RING_TOLERANCE, half the gap to each adjacent ring) from its place
+    raises RingAssignmentError.  A caller that only counts keeps no
     crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
-    it, so the first rows stand for the rest.  One untied vertex breaks
-    that symmetry: then every row is visited, and the loop raises at the
-    first crossing on a chord through an untied vertex.  At p >= 2 each
-    chord crosses 2(p - 1) others, so the loop always gets there; at p = 1
-    nothing crosses, and the error names the first chord through the first
-    untied vertex j after the loop: chord j (vertex j - 1 to j), or chord 1
-    when j = 0.
+    it, so the first rows stand for the rest.
     """
     p, q = param.p, param.q
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
     unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
-    untied = [j for j, v in enumerate(vertex_positions(param)) if v != unit[2 * j]]
-    if rows is None or untied:
-        rows = q
-    normals = unit.copy() if untied else unit
-    for j in untied:
-        normals[(2 * j + p) % (2 * q)] = normals[(2 * j - p) % (2 * q)] = (math.nan, math.nan)
+    verts = vertex_positions(param)
+    for n in range(q):
+        j = p * n % q
+        if verts[j] != unit[2 * j]:
+            raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1)
     d = unit[p][0]
     half_gaps = [(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
     half_gaps = [math.inf, *half_gaps, math.inf]
@@ -194,11 +189,11 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
     locate = _line_intersection
     for i in range(rows):
         slot = p * (2 * i + 1)
-        normal = normals[slot % (2 * q)]
+        normal = unit[slot % (2 * q)]
         for k, s, ring, r, tol in places:
             if i + k >= q:
                 break
-            pt = locate(normal, normals[(slot + 2 * s) % (2 * q)], d)
+            pt = locate(normal, unit[(slot + 2 * s) % (2 * q)], d)
             ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
             if not miss <= tol:  # a NaN fails too
@@ -208,14 +203,11 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int | None = 
                     i + 1,
                 )
             yield i + 1, i + 1 + k, pt, ring
-    if untied:
-        j = untied[0]
-        raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", j or 1)
 
 
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, located and checked by _crossings."""
-    crossings = _crossings(param, crossing_offsets(param))
+    crossings = _crossings(param, crossing_offsets(param), param.q)
     return TrajectoryGeometry(param, tuple(Intersection(*c) for c in crossings))
 
 
@@ -224,14 +216,15 @@ def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
 
     By the symmetry _crossings states, crossing (1, b) stands for the
     q + 1 - b crossings (i + 1, i + b) with i + b <= q, all on its ring.
-    Radii out of order, an untied vertex or a crossing off its place raise
-    RingAssignmentError, as in _crossings.  What the row loses: rounding is sampled on chord 1
-    only, which at p = (q - 1)/2 under-reports the worst miss of the five
+    Radii out of order, an untied vertex (named by the first chord through
+    it) or a crossing off its place raise RingAssignmentError, as in
+    _crossings.  What the row loses: rounding is sampled on chord 1 only,
+    which at p = (q - 1)/2 under-reports the worst miss of the five
     innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001 and
     20001), and a locator wrong only off chord 1 passes.
     """
     q = param.q
     counts = Counter()
-    for _, b, _, ring in _crossings(param, offsets, rows=1):
+    for _, b, _, ring in _crossings(param, offsets, 1):
         counts[ring] += q + 1 - b
     return counts

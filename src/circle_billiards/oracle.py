@@ -12,11 +12,13 @@ census adds its own evidence only through v and e, which only the
 full_orbit_census check reads.  Both count crossings from
 geometry.crossing_offsets, which is purely combinatorial; no floating point
 is involved.  verify_pair also runs the float ring check, which ties the
-drawn vertices to the exact direction table, locates the crossings of
-chord 1 with the loop behind intersection_points and takes the per-ring
-counts of the full orbit from its rotational symmetry.  verify_pair
-computes the offsets once and hands them to all three, and its every stage
-is O(q); the public counters compute their own offsets.
+drawn vertices to the exact direction table in the order the trajectory
+visits them (an untied vertex fails at the first chord through it),
+locates the crossings of chord 1 with the loop behind intersection_points
+and takes the per-ring counts of the full orbit from its rotational
+symmetry.  verify_pair computes the offsets once and hands them to all
+three, and its every stage is O(q); the public counters compute their own
+offsets.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
 
     See geometry._crossings for the ring set-up it judges and the symmetry
     that lets chord 1's row stand for every row.  first_divergence is the
-    chord_a of the RingAssignmentError raised (the earlier chord of the
-    first crossing off its place, or None for radii out of order), or None
-    when only the counts are wrong.
+    chord_a of the RingAssignmentError raised: the first chord in step
+    order through a vertex off its table direction, the earlier chord of
+    the first crossing off its place, or None for radii out of order.  It
+    is None when only the counts are wrong.
     """
     try:
         per_ring = _ring_counts(param, offsets)

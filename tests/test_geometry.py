@@ -217,7 +217,7 @@ def test_ring_check_holds_on_innermost_rings_at_large_q(q):
     # q**-3), so a locator that loses digits would false-fail them first.
     rp = make_rotation((q - 1) // 2, q)
     inner = [k for k in crossing_offsets(rp) if min(rp.p * k % q, -rp.p * k % q) <= 5]
-    per_ring = Counter(ring for *_, ring in geometry._crossings(rp, inner))
+    per_ring = Counter(ring for *_, ring in geometry._crossings(rp, inner, q))
     assert per_ring == {ring: q for ring in range(rp.p - 5, rp.p)}
 
 

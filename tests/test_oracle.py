@@ -205,12 +205,12 @@ def test_ring_check_tolerates_tiny_tangential_shift(monkeypatch):
     [
         # Rings 1..p-1 pushed out by 1e-6 of their radius: every crossing is off.
         ("scale_rings", (3, 7), 1),
-        # Vertex 7 of 2/9 is shared by chords 8 and 9, which cross chords 3,
-        # 4 and 5; the first of those crossings in loop order is (3, 8).
-        ("move_vertex", (2, 9), 3),
+        # Vertex 7 of 2/9 is shared by chords 8 and 9 (2 * 8 = 16 = 7 mod 9);
+        # the first of them in step order is chord 8.
+        ("move_vertex", (2, 9), 8),
         # Vertex 7 of 2/9 one ulp off its direction: the bitwise tie to the
-        # direction table fails chords 8 and 9, as for move_vertex.
-        ("nudge_vertex", (2, 9), 3),
+        # direction table names chord 8, as for move_vertex.
+        ("nudge_vertex", (2, 9), 8),
     ],
     ids=["radius_table", "moved_vertex", "nudged_vertex"],
 )
@@ -221,40 +221,40 @@ def test_ring_check_reports_first_off_chord(monkeypatch, mutation, pq, chord):
 
 
 def _first_chord_through(rp, j):
-    # Reference: the earlier chord of the first crossing (i + 1, i + 1 + k),
-    # in loop order (i, then ascending offsets k), that has vertex j as an
-    # endpoint of either chord.  At p = 1 nothing crosses: chord j, or 1.
+    # Reference: the first chord n in 1..q whose endpoints p(n - 1) and pn
+    # (mod q) include vertex j.
     p, q = rp.p, rp.q
-    if p == 1:
-        return j or 1
+    return next(n for n in range(1, q + 1) if j in {p * (n - 1) % q, p * n % q})
 
-    def ends(n):  # chord n runs from vertex p(n - 1) to pn (mod q)
-        return {p * (n - 1) % q, p * n % q}
 
-    offsets = geometry.crossing_offsets(rp)
-    return next(
-        i + 1
-        for i in range(q)
-        for k in offsets
-        if i + k < q and j in ends(i + 1) | ends(i + 1 + k)
-    )
+def _nudged(true_vertices, *untied):
+    # Each vertex in untied one ulp off its direction.
+    def nudged(param):
+        verts = true_vertices(param)
+        for j in untied:
+            x, y = verts[j]
+            verts[j] = (math.nextafter(x, 2.0), y)
+        return verts
+
+    return nudged
 
 
 def test_ring_check_names_first_chord_through_any_untied_vertex(monkeypatch):
+    # One untied vertex for every pair with q <= 30, then every two untied
+    # vertices for every pair with q <= 15.
     true_vertices = geometry.vertex_positions
-    for rp in coprime_rotations(30):
-        for j in range(rp.q):
-
-            def nudged(param, j=j):
-                verts = true_vertices(param)
-                x, y = verts[j]
-                verts[j] = (math.nextafter(x, 2.0), y)
-                return verts
-
-            monkeypatch.setattr(geometry, "vertex_positions", nudged)
-            check = _rings_check(verify_pair(rp))
-            expected = (False, _first_chord_through(rp, j))
-            assert (check.passed, check.first_divergence) == expected, (rp.p, rp.q, j)
+    cases = [(rp, (j,)) for rp in coprime_rotations(30) for j in range(rp.q)]
+    cases += [
+        (rp, (j, k))
+        for rp in coprime_rotations(15)
+        for j in range(rp.q)
+        for k in range(j + 1, rp.q)
+    ]
+    for rp, untied in cases:
+        monkeypatch.setattr(geometry, "vertex_positions", _nudged(true_vertices, *untied))
+        check = _rings_check(verify_pair(rp))
+        expected = (False, min(_first_chord_through(rp, j) for j in untied))
+        assert (check.passed, check.first_divergence) == expected, (rp.p, rp.q, untied)
 
 
 def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
@@ -290,9 +290,17 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     assert "PASS: " in capsys.readouterr().out
 
 
-def test_verify_pair_holds_at_large_q():
+def test_verify_pair_holds_at_large_q(monkeypatch):
     # p near q/2: the pair has q*(p - 1), about 5e9, crossings, so every
     # stage of verify_pair must be O(q) for this to run in about a second.
-    report = verify_pair(make_rotation(49999, 100001))
+    rp = make_rotation(49999, 100001)
+    report = verify_pair(rp)
     assert "rings" in [c.name for c in report.checks]
     assert report.ok, report.failures()
+    # Vertex 30001 one ulp off: 49999 * 13333 = 30001 (mod 100001), so
+    # chord 13333 is the first chord in step order through it.
+    monkeypatch.setattr(
+        geometry, "vertex_positions", _nudged(geometry.vertex_positions, 30001)
+    )
+    check = _rings_check(verify_pair(rp))
+    assert (check.passed, check.first_divergence) == (False, 13333)
