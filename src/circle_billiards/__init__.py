@@ -16,7 +16,6 @@ from .core import (
 )
 from .formula import (
     DivisionSequence,
-    SequenceSource,
     euler_counts,
     general_sequence,
     r1_sequence,
@@ -56,7 +55,6 @@ __all__ = [
     "coprime_rotations",
     "make_rotation",
     "DivisionSequence",
-    "SequenceSource",
     "euler_counts",
     "general_sequence",
     "r1_sequence",

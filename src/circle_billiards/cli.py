@@ -57,14 +57,15 @@ def _colorize(text: str, code: str) -> str:
 
 
 def _sequence_for(param):
+    """The sequence with the name of the form that made it, for `seq --format json`."""
     if param.q == 2 * param.p + 1:
-        return special_sequence(param.p)
-    return general_sequence(param)
+        return special_sequence(param.p), "SpecialClosedForm"
+    return general_sequence(param), "GeneralFormula"
 
 
 def cmd_seq(args) -> int:
     param = make_rotation(args.p, args.q)
-    seq = _sequence_for(param)
+    seq, source = _sequence_for(param)
     if args.format == "plain":
         print(" ".join(str(v) for v in seq.values))
     elif args.format == "csv":
@@ -78,7 +79,7 @@ def cmd_seq(args) -> int:
             "q": param.q,
             "m": param.m,
             "r": param.r,
-            "source": seq.source.value,
+            "source": source,
             "values": seq.values,
             "increments": seq.increments,
         }
@@ -119,15 +120,15 @@ def cmd_verify(args) -> int:
 
 def cmd_radii(args) -> int:
     param = make_rotation(args.p, args.q)
-    for rr in ring_radii(param):
-        print(f"{rr.ring_index} {rr.normalized_radius:.6f}")
+    for i, rr in enumerate(ring_radii(param)):
+        print(f"{i} {rr.normalized_radius:.6f}")
     return 0
 
 
 def cmd_render(args) -> int:
     param = make_rotation(args.p, args.q)
     if args.series:
-        if args.out in (None, "-"):
+        if args.out in (None, "-", ""):
             print("error: --series requires -o OUTDIR", file=sys.stderr)
             return 2
         # The series draws every prefix bare at the default size.
@@ -226,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--step", type=int, default=None, help="draw only the first N chords")
     rn.add_argument("--rings", action="store_true", help="draw the crossing rings")
     rn.add_argument("--labels", action="store_true", help="label the reflection points")
-    rn.add_argument("--size", type=int, default=480, help="canvas edge in pixels")
+    rn.add_argument(
+        "--size", type=int, default=RenderSpec.canvas_size_px, help="canvas edge in pixels"
+    )
     rn.add_argument("--series", action="store_true", help="write one SVG per prefix")
     rn.add_argument("-o", "--out", default=None, help="output file (or directory with --series)")
     rn.set_defaults(func=cmd_render)

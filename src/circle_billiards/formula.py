@@ -2,12 +2,13 @@
 
 f_n is the number of regions the disc is cut into after the first n chords
 of the closed trajectory.  The counts start at f_0 = 1 (undivided disc) and
-end at f_q = p*q + 1.  All arithmetic is exact integer arithmetic.
+end at f_q = p*q + 1.  All arithmetic is exact integer arithmetic.  Each
+generator returns a plain DivisionSequence; which form made it is the
+caller's to know.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import operator
@@ -16,26 +17,18 @@ from dataclasses import dataclass
 from .core import ParameterError, RotationParameter, _require_ints, make_rotation
 
 
-class SequenceSource(enum.Enum):
-    """Which generator produced a division sequence."""
-
-    GENERAL_FORMULA = "GeneralFormula"
-    SPECIAL_CLOSED_FORM = "SpecialClosedForm"
-    ORACLE = "Oracle"
-
-
 @dataclass(frozen=True)
 class DivisionSequence:
     """The exact region counts f_0..f_q; ``increments`` is derived from them.
 
     Construction enforces the structural invariants every correct sequence
     satisfies: f_0 = 1, f_q = p*q + 1, and each chord adds between 1 and
-    2p - 1 regions.
+    2p - 1 regions.  It keeps no note of its generator, so two sequences are
+    equal exactly when their values are.
     """
 
     param: RotationParameter
     values: tuple[int, ...]
-    source: SequenceSource
 
     def __post_init__(self) -> None:
         p, q = self.param.p, self.param.q
@@ -58,13 +51,10 @@ class DivisionSequence:
 
     @classmethod
     def from_increments(
-        cls,
-        param: RotationParameter,
-        increments: list[int],
-        source: SequenceSource,
+        cls, param: RotationParameter, increments: list[int]
     ) -> "DivisionSequence":
         """The sequence f_0 = 1, f_n = 1 + increments[0] + ... + increments[n-1]."""
-        return cls(param, tuple(itertools.accumulate(increments, initial=1)), source)
+        return cls(param, tuple(itertools.accumulate(increments, initial=1)))
 
 
 def total_regions(param: RotationParameter) -> int:
@@ -112,7 +102,7 @@ def general_sequence(param: RotationParameter) -> DivisionSequence:
     throughout and holds m - 1 + r - floor((p-1)*r/p) chords.
     """
     steps = _general_increments(param)
-    return DivisionSequence.from_increments(param, steps, SequenceSource.GENERAL_FORMULA)
+    return DivisionSequence.from_increments(param, steps)
 
 
 def special_sequence(p: int) -> DivisionSequence:
@@ -129,7 +119,7 @@ def special_sequence(p: int) -> DivisionSequence:
     q = 2 * p + 1
     param = make_rotation(p, q)
     values = tuple(2 + n * (n - 1) // 2 - (n in (0, q)) for n in range(q + 1))
-    return DivisionSequence(param, values, SequenceSource.SPECIAL_CLOSED_FORM)
+    return DivisionSequence(param, values)
 
 
 def r1_sequence(param: RotationParameter) -> DivisionSequence:
@@ -147,4 +137,4 @@ def r1_sequence(param: RotationParameter) -> DivisionSequence:
         steps.extend([2 * k - 1] * (m - 1))
         steps.append(2 * k)
     steps.extend([2 * p - 1] * m)
-    return DivisionSequence.from_increments(param, steps, SequenceSource.GENERAL_FORMULA)
+    return DivisionSequence.from_increments(param, steps)

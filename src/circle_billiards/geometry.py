@@ -21,7 +21,7 @@ RING_TOLERANCE = 1e-9
 class RingAssignmentError(RuntimeError):
     """An interior crossing lies off the exact place its chords fix.
 
-    chord_a is the step index of the earlier chord of the first such crossing.
+    chord_a is the chord number of the earlier chord of the first such crossing.
     A drawn vertex off its table direction raises it first, with chord_a the
     first chord in step order through an untied vertex.  Ring radii that do
     not strictly decrease raise it with chord_a None.
@@ -34,22 +34,22 @@ class RingAssignmentError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Chord:
-    """One straight path of the trajectory; step_index is 1-based traversal order."""
+    """One straight path of the trajectory; chord n is chord_list(param)[n - 1]."""
 
     from_vertex: int
     to_vertex: int
-    step_index: int
 
 
 @dataclass(frozen=True)
 class RingRadius:
-    ring_index: int
+    """A crossing ring's radius over the circle's; ring i is ring_radii(param)[i]."""
+
     normalized_radius: float
 
 
 @dataclass(frozen=True)
 class Intersection:
-    """Interior crossing of the chords with step indices chord_a < chord_b."""
+    """Interior crossing of the chords numbered chord_a < chord_b, on ring ``ring``."""
 
     chord_a: int
     chord_b: int
@@ -59,7 +59,8 @@ class Intersection:
 
 @dataclass(frozen=True)
 class TrajectoryGeometry:
-    param: RotationParameter
+    """The interior crossings of the full orbit, ordered by chord_a, then chord_b."""
+
     intersections: tuple[Intersection, ...]
 
 
@@ -78,7 +79,7 @@ def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
 def chord_list(param: RotationParameter) -> list[Chord]:
     """The q chords in traversal order: chord n runs from vertex p*(n-1) to p*n (mod q)."""
     p, q = param.p, param.q
-    return [Chord((p * (n - 1)) % q, (p * n) % q, n) for n in range(1, q + 1)]
+    return [Chord((p * (n - 1)) % q, (p * n) % q) for n in range(1, q + 1)]
 
 
 def _interleaved(a0: int, a1: int, b0: int, b1: int, q: int) -> bool:
@@ -121,10 +122,7 @@ def ring_radii(param: RotationParameter) -> list[RingRadius]:
     """
     p, q = param.p, param.q
     base = math.pi * p / q
-    return [
-        RingRadius(i, math.cos(base) / math.cos(base - math.pi * i / q))
-        for i in range(p)
-    ]
+    return [RingRadius(math.cos(base) / math.cos(base - math.pi * i / q)) for i in range(p)]
 
 
 def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
@@ -208,7 +206,7 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, located and checked by _crossings."""
     crossings = _crossings(param, crossing_offsets(param), param.q)
-    return TrajectoryGeometry(param, tuple(Intersection(*c) for c in crossings))
+    return TrajectoryGeometry(tuple(Intersection(*c) for c in crossings))
 
 
 def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:

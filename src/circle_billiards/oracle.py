@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .core import RotationParameter, _require_ints
 from .formula import (
     DivisionSequence,
-    SequenceSource,
     euler_counts,
     general_sequence,
     r1_sequence,
@@ -75,7 +74,7 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
 
 def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
     increments = [1 + c for c in _crossing_counts(param.q, offsets)]
-    return DivisionSequence.from_increments(param, increments, SequenceSource.ORACLE)
+    return DivisionSequence.from_increments(param, increments)
 
 
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:

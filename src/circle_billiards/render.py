@@ -59,11 +59,11 @@ def _chord_lines(param: RotationParameter, size: int, upto_chord: int) -> list[s
         return _fmt(center + scale * x), _fmt(center - scale * y)
 
     lines = []
-    for ch in chord_list(param)[:upto_chord]:
+    for n, ch in enumerate(chord_list(param)[:upto_chord], start=1):
         x1, y1 = to_px(ch.from_vertex)
         x2, y2 = to_px(ch.to_vertex)
-        # Full turns completed strictly before this chord ends.
-        turn = (ch.step_index * param.p - 1) // param.q
+        # Full turns completed strictly before chord n ends.
+        turn = (n * param.p - 1) // param.q
         color = DEFAULT_PALETTE[turn % len(DEFAULT_PALETTE)]
         lines.append(
             f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '

@@ -42,8 +42,10 @@ def test_seq_json_uses_special_form(capsys):
     assert list(payload) == ["p", "q", "m", "r", "source", "values", "increments"]
 
 
-def test_seq_json_round_trip(capsys):
-    _, out, _ = run_cli(capsys, "seq", "-p", "3", "-q", "13", "--format", "json")
+@pytest.mark.parametrize("p, q", [(3, 13), (3, 14), (1, 5)], ids=["r1", "r2", "p1"])
+def test_seq_json_round_trip(capsys, p, q):
+    # Every pair off the q = 2p + 1 family names the general formula.
+    _, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "json")
     assert json.dumps(json.loads(out)) == out.strip()
     payload = json.loads(out)
     assert payload["source"] == "GeneralFormula"
@@ -235,9 +237,13 @@ def test_render_series(tmp_path, capsys):
     assert len(sorted(outdir.glob("step_*.svg"))) == 14
 
 
-def test_render_series_needs_out(capsys):
-    code, _, err = run_cli(capsys, "render", "-p", "3", "-q", "7", "--series")
+@pytest.mark.parametrize("out", [[], ["-o", "-"], ["-o", ""]], ids=["none", "stdout", "empty"])
+def test_render_series_needs_out(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "render", "-p", "3", "-q", "7", "--series", *out)
     assert code == 2
+    assert "--series requires -o OUTDIR" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
 from circle_billiards.formula import (
     DivisionSequence,
-    SequenceSource,
     euler_counts,
     general_sequence,
     r1_sequence,
@@ -37,7 +36,6 @@ def test_euler_identity_scan():
 def test_general_sequence_3_13():
     seq = general_sequence(make_rotation(3, 13))
     assert list(seq.values) == [1, 2, 3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 35, 40]
-    assert seq.source is SequenceSource.GENERAL_FORMULA
 
 
 def test_general_sequence_3_7():
@@ -60,14 +58,13 @@ def test_general_sequence_3_14():
 
 def test_general_matches_oracle_small_scan():
     for rp in coprime_rotations(25):
-        assert general_sequence(rp).values == oracle_sequence(rp).values, (rp.p, rp.q)
+        assert general_sequence(rp) == oracle_sequence(rp), (rp.p, rp.q)
 
 
 def test_special_sequence_p3():
     seq = special_sequence(3)
     assert list(seq.values) == [1, 2, 3, 5, 8, 12, 17, 22]
     assert seq.values[0] == 1  # endpoint correction active
-    assert seq.source is SequenceSource.SPECIAL_CLOSED_FORM
 
 
 def test_special_sequence_p2():
@@ -78,7 +75,7 @@ def test_special_sequence_p2():
 
 def test_special_matches_general_up_to_100():
     for p in range(1, 101):
-        assert special_sequence(p).values == general_sequence(make_rotation(p, 2 * p + 1)).values
+        assert special_sequence(p) == general_sequence(make_rotation(p, 2 * p + 1))
 
 
 def test_special_rejects_bad_p():
@@ -129,7 +126,7 @@ def test_r1_matches_general_family():
         while m * p + 1 <= 300:
             rp = make_rotation(p, m * p + 1)
             assert rp.r == 1
-            assert r1_sequence(rp).values == general_sequence(rp).values, (p, m)
+            assert r1_sequence(rp) == general_sequence(rp), (p, m)
             m += 1
 
 
@@ -143,13 +140,13 @@ def test_endpoint_totals_scan():
 def test_sequence_invariants_enforced():
     rp = make_rotation(3, 7)
     with pytest.raises(ValueError):
-        DivisionSequence(rp, (1, 2), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, (1, 2))
     with pytest.raises(ValueError):
-        DivisionSequence(rp, tuple(range(8)), SequenceSource.GENERAL_FORMULA)  # f_0 = 0
+        DivisionSequence(rp, tuple(range(8)))  # f_0 = 0
     with pytest.raises(ValueError, match=r"f_q must be 22, got 23"):
-        DivisionSequence(rp, (1, 2, 3, 5, 8, 12, 17, 23), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, (1, 2, 3, 5, 8, 12, 17, 23))
     with pytest.raises(ValueError, match=r"increment 6 at step 4 outside 1\.\.5"):
-        DivisionSequence(rp, (1, 2, 3, 4, 10, 12, 17, 22), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, (1, 2, 3, 4, 10, 12, 17, 22))
     # Step 2 is the first bad step, though step 4 holds the largest increment.
     with pytest.raises(ValueError, match=r"increment 0 at step 2 outside 1\.\.5"):
-        DivisionSequence(rp, (1, 2, 2, 3, 9, 12, 17, 22), SequenceSource.GENERAL_FORMULA)
+        DivisionSequence(rp, (1, 2, 2, 3, 9, 12, 17, 22))

@@ -56,7 +56,7 @@ def _scale_rings(true, param):
     # Rings 1..p-1 pushed out by 1e-6 of their radius.
     table = true(param)
     return table[:1] + [
-        geometry.RingRadius(rr.ring_index, rr.normalized_radius * (1 + 1e-6))
+        geometry.RingRadius(rr.normalized_radius * (1 + 1e-6))
         for rr in table[1:]
     ]
 
@@ -67,11 +67,7 @@ def _swap_rings(true, param):
     if len(table) < 2:
         return table
     *rest, a, b = table
-    return [
-        *rest,
-        geometry.RingRadius(a.ring_index, b.normalized_radius),
-        geometry.RingRadius(b.ring_index, a.normalized_radius),
-    ]
+    return [*rest, b, a]
 
 
 def _pinch(true, param):
@@ -81,7 +77,6 @@ def _pinch(true, param):
         geometry.Chord(
             0 if ch.from_vertex == lost else ch.from_vertex,
             0 if ch.to_vertex == lost else ch.to_vertex,
-            ch.step_index,
         )
         for ch in true(param)
     ]
@@ -145,7 +140,7 @@ def _change_value(true, *args):
     top = 2 * seq.param.p - 1
     n = next((n for n in range(1, len(steps)) if steps[n - 1] < top and steps[n] > 1), 1)
     values[n] += 1
-    return DivisionSequence(seq.param, tuple(values), seq.source)
+    return DivisionSequence(seq.param, tuple(values))
 
 
 def _spare_chord_one(true, normal_a, normal_b, d):

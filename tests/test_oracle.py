@@ -4,7 +4,6 @@ import pytest
 
 from circle_billiards import cli, geometry, oracle
 from circle_billiards.core import coprime_rotations, make_rotation
-from circle_billiards.formula import SequenceSource
 from circle_billiards.oracle import (
     arrangement_census,
     census_prefixes,
@@ -20,7 +19,6 @@ def test_oracle_sequence_examples():
     assert list(oracle_sequence(make_rotation(3, 13)).values) == [
         1, 2, 3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 35, 40,
     ]
-    assert oracle_sequence(make_rotation(3, 7)).source is SequenceSource.ORACLE
 
 
 def test_census_full_orbit_3_7():
