@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RotationParameter, coprime_rotations, make_rotation
+from .core import ParameterError, RotationParameter, coprime_rotations, make_rotation
 from .formula import general_sequence, special_sequence
 from .geometry import ring_radii
 from .oracle import CheckResult, verify_pair
@@ -88,19 +88,13 @@ def cmd_seq(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.q_max < 3:
-        print("error: --q-max must be at least 3", file=sys.stderr)
-        return 2
     if args.q_max > VERIFY_Q_CAP and not args.force:
-        print(
-            f"error: --q-max above {VERIFY_Q_CAP} needs --force "
-            "(each pair is O(q), so the scan grows about as q-max cubed)",
-            file=sys.stderr,
+        raise ParameterError(
+            f"--q-max above {VERIFY_Q_CAP} needs --force "
+            "(each pair is O(q), so the scan grows about as q-max cubed)"
         )
-        return 2
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
+        raise ParameterError("--jobs must be at least 1")
     result = run_verification(args.q_max, args.jobs)
     for param, check in result.failures:
         where = (
@@ -129,8 +123,7 @@ def cmd_render(args) -> int:
     param = make_rotation(args.p, args.q)
     if args.series:
         if args.out in (None, "-", ""):
-            print("error: --series requires -o OUTDIR", file=sys.stderr)
-            return 2
+            raise ParameterError("--series requires -o OUTDIR")
         # The series draws every prefix bare at the default size.
         given = {
             "--step": args.step is not None,
@@ -140,8 +133,7 @@ def cmd_render(args) -> int:
         }
         if any(given.values()):
             flags = ", ".join(flag for flag, on in given.items() if on)
-            print(f"error: --series does not take {flags}", file=sys.stderr)
-            return 2
+            raise ParameterError(f"--series does not take {flags}")
         paths = render_step_series(param, args.out)
         print(f"wrote {len(paths)} files to {args.out}")
         return 0
@@ -163,9 +155,6 @@ def cmd_render(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.q_max < 3:
-        print("error: --q-max must be at least 3", file=sys.stderr)
-        return 2
     rows = []
     for param in coprime_rotations(args.q_max):
         seq = general_sequence(param)

@@ -19,22 +19,28 @@ MAX_Q = 10**6
 
 
 class ParameterError(ValueError):
-    """Rotation fraction outside the supported range."""
+    """An input outside the supported range."""
 
 
 @dataclass(frozen=True)
 class RotationParameter:
-    """Reduced rotation fraction p/q plus derived quantities.
+    """Reduced rotation fraction p/q.
 
-    m and r split the denominator as q = m*p + r with 0 <= r < p; they
-    control the block structure of the division sequence.  Instances are
-    immutable and safe to share.
+    m and r are derived from the pair: they split the denominator as
+    q = m*p + r with 0 <= r < p and control the block structure of the
+    division sequence.  Instances are immutable and safe to share.
     """
 
     p: int
     q: int
-    m: int
-    r: int
+
+    @property
+    def m(self) -> int:
+        return self.q // self.p
+
+    @property
+    def r(self) -> int:
+        return self.q % self.p
 
 
 def _require_ints(**values) -> None:
@@ -64,13 +70,14 @@ def make_rotation(p_in: int, q_in: int) -> RotationParameter:
         raise ParameterError(
             f"{p_in}/{q_in} reduces to {p}/{q}: out of supported range (p/q < 1/2 required)"
         )
-    m, r = divmod(q, p)
-    return RotationParameter(p=p, q=q, m=m, r=r)
+    return RotationParameter(p=p, q=q)
 
 
 def coprime_rotations(q_max: int) -> Iterator[RotationParameter]:
-    """All valid parameters with q <= q_max, ordered by (q, p)."""
+    """All valid parameters with q <= q_max, ordered by (q, p); q_max is in 3..MAX_Q."""
     _require_ints(q_max=q_max)
+    if q_max < 3:
+        raise ParameterError(f"q_max must be at least 3, got {q_max}")
     if q_max > MAX_Q:
         raise ParameterError(f"q_max must be at most {MAX_Q}, got {q_max}")
     return (

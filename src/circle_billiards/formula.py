@@ -113,9 +113,8 @@ def special_sequence(p: int) -> DivisionSequence:
     The bracket corrections account for the undivided disc and for the
     closing chord landing on the start vertex.
     """
+    # make_rotation rejects p < 1; a non-int p would fail at 2 * p + 1 first.
     _require_ints(p=p)
-    if p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p}")
     q = 2 * p + 1
     param = make_rotation(p, q)
     values = tuple(2 + n * (n - 1) // 2 - (n in (0, q)) for n in range(q + 1))

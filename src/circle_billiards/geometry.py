@@ -8,7 +8,6 @@ enters for coordinates, ring radii and rendering.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import RotationParameter
@@ -207,22 +206,3 @@ def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
     """All interior crossings of the full orbit, located and checked by _crossings."""
     crossings = _crossings(param, crossing_offsets(param), param.q)
     return TrajectoryGeometry(tuple(Intersection(*c) for c in crossings))
-
-
-def _ring_counts(param: RotationParameter, offsets: list[int]) -> Counter:
-    """Crossings per ring over the full orbit, from chord 1's row of _crossings.
-
-    By the symmetry _crossings states, crossing (1, b) stands for the
-    q + 1 - b crossings (i + 1, i + b) with i + b <= q, all on its ring.
-    Radii out of order, an untied vertex (named by the first chord through
-    it) or a crossing off its place raise RingAssignmentError, as in
-    _crossings.  What the row loses: rounding is sampled on chord 1 only,
-    which at p = (q - 1)/2 under-reports the worst miss of the five
-    innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001 and
-    20001), and a locator wrong only off chord 1 passes.
-    """
-    q = param.q
-    counts = Counter()
-    for _, b, _, ring in _crossings(param, offsets, 1):
-        counts[ring] += q + 1 - b
-    return counts

@@ -11,22 +11,19 @@ census_vs_general therefore fails exactly where general_vs_oracle does; the
 census adds its own evidence only through v and e, which only the
 full_orbit_census check reads.  Both count crossings from
 geometry.crossing_offsets, which is purely combinatorial; no floating point
-is involved.  verify_pair also runs the float ring check, which ties the
-drawn vertices to the exact direction table in the order the trajectory
-visits them (an untied vertex fails at the first chord through it),
-locates the crossings of chord 1 with the loop behind intersection_points
-and takes the per-ring counts of the full orbit from its rotational
-symmetry.  verify_pair computes the offsets once and hands them to all
-three, and its every stage is O(q); the public counters compute their own
-offsets.
+is involved.  verify_pair also runs the float ring check; _ring_check says
+why chord 1's crossings stand for the full orbit and what that loses.
+verify_pair computes the offsets once and hands them to all three, and its
+every stage is O(q); the public counters compute their own offsets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import RotationParameter, _require_ints
+from .core import ParameterError, RotationParameter, _require_ints
 from .formula import (
     DivisionSequence,
     euler_counts,
@@ -34,12 +31,7 @@ from .formula import (
     r1_sequence,
     special_sequence,
 )
-from .geometry import (
-    RingAssignmentError,
-    _ring_counts,
-    chord_list,
-    crossing_offsets,
-)
+from .geometry import RingAssignmentError, _crossings, chord_list, crossing_offsets
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     """Euler census of the first upto_chord chords: census_prefixes(param)[upto_chord]."""
     _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
-        raise ValueError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
+        raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
     return ArrangementCensus(*_census_prefixes(param, crossing_offsets(param))[upto_chord])
 
 
@@ -148,20 +140,29 @@ def _compare(name: str, xs, ys) -> CheckResult:
 
 
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
-    """The "rings" check: geometry._ring_counts must give {1..p-1: q}.
+    """The "rings" check: the full orbit's crossings per ring must be {1..p-1: q}.
 
-    See geometry._crossings for the ring set-up it judges and the symmetry
-    that lets chord 1's row stand for every row.  first_divergence is the
-    chord_a of the RingAssignmentError raised: the first chord in step
-    order through a vertex off its table direction, the earlier chord of
-    the first crossing off its place, or None for radii out of order.  It
-    is None when only the counts are wrong.
+    The counts come from chord 1's row of geometry._crossings, which
+    judges the ring set-up.  By the symmetry _crossings states, crossing
+    (1, b) stands for the q + 1 - b crossings (i + 1, i + b) with
+    i + b <= q, all on its ring.  What the row loses: rounding is sampled
+    on chord 1 only, which at p = (q - 1)/2 under-reports the worst miss of
+    the five innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001
+    and 20001), and a locator wrong only off chord 1 passes.
+
+    first_divergence is the chord_a of the RingAssignmentError raised: the
+    first chord in step order through a vertex off its table direction, the
+    earlier chord of the first crossing off its place, or None for radii out
+    of order.  It is None when only the counts are wrong.
     """
+    q = param.q
+    per_ring = Counter()
     try:
-        per_ring = _ring_counts(param, offsets)
+        for _, b, _, ring in _crossings(param, offsets, 1):
+            per_ring[ring] += q + 1 - b
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
-    return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), param.q))
+    return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), q))
 
 
 def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RotationParameter, _require_ints
+from .core import ParameterError, RotationParameter, _require_ints
 from .formula import general_sequence
 from .geometry import chord_list, ring_radii, vertex_positions
 
@@ -29,11 +29,11 @@ class RenderSpec:
     def __post_init__(self) -> None:
         _require_ints(upto_chord=self.upto_chord, canvas_size_px=self.canvas_size_px)
         if not 0 <= self.upto_chord <= self.param.q:
-            raise ValueError(
+            raise ParameterError(
                 f"upto_chord must be in 0..{self.param.q}, got {self.upto_chord}"
             )
         if self.canvas_size_px < 64:
-            raise ValueError(f"canvas_size_px must be at least 64, got {self.canvas_size_px}")
+            raise ParameterError(f"canvas_size_px must be at least 64, got {self.canvas_size_px}")
 
 
 def _fmt(x: float) -> str:

@@ -171,6 +171,39 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--q-max", "2"], "q_max must be at least 3, got 2"),
+        (["scan", "--q-max", "2"], "q_max must be at least 3, got 2"),
+        (
+            ["verify", "--q-max", "501"],
+            "--q-max above 500 needs --force "
+            "(each pair is O(q), so the scan grows about as q-max cubed)",
+        ),
+        (["verify", "--q-max", "10", "--jobs", "0"], "--jobs must be at least 1"),
+        (["render", "-p", "2", "-q", "5", "--series"], "--series requires -o OUTDIR"),
+        (
+            ["render", "-p", "2", "-q", "5", "--series", "--rings", "-o", "D"],
+            "--series does not take --rings",
+        ),
+        (
+            ["seq", "-p", "2", "-q", "4"],
+            "2/4 reduces to 1/2: out of supported range (p/q < 1/2 required)",
+        ),
+        (["verify", "--force", "--q-max", "1000001"], "q_max must be at most 1000000, got 1000001"),
+    ],
+    ids=[
+        "verify-q-max-2", "scan-q-max-2", "verify-cap", "jobs-0", "series-no-out",
+        "series-rings", "seq-half", "q-max-above-MAX_Q",
+    ],
+)
+def test_usage_error_is_one_stderr_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_jobs_deterministic():
     serial = run_verification(30, jobs=1)
     threaded = run_verification(30, jobs=4)

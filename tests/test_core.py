@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from circle_billiards.core import (
     MAX_Q,
     ParameterError,
+    RotationParameter,
     coprime_rotations,
     make_rotation,
 )
@@ -61,8 +63,15 @@ def test_coprime_rotations_non_int_rejected(q_max):
 
 def test_coprime_rotations_q_max_checked_at_call():
     # Raised by the call itself, before the generator yields any pair.
-    with pytest.raises(ParameterError, match="q_max must be at most"):
-        coprime_rotations(MAX_Q + 1)
+    for q_max, message in ((MAX_Q + 1, "at most"), (2, "at least 3")):
+        with pytest.raises(ParameterError, match=f"q_max must be {message}"):
+            coprime_rotations(q_max)
+
+
+def test_rotation_parameter_is_the_pair():
+    rp = RotationParameter(3, 14)
+    assert (rp.m, rp.r) == (4, 2)
+    assert [f.name for f in dataclasses.fields(RotationParameter)] == ["p", "q"]
 
 
 def test_exhaustive_decomposition_up_to_200():

@@ -79,8 +79,9 @@ def test_special_matches_general_up_to_100():
 
 
 def test_special_rejects_bad_p():
-    with pytest.raises(ParameterError):
-        special_sequence(0)
+    for p in (0, -3):
+        with pytest.raises(ParameterError, match="p must be a positive integer"):
+            special_sequence(p)
 
 
 @pytest.mark.parametrize("p", ["3", None, 2.0, True])

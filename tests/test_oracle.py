@@ -3,7 +3,7 @@ import math
 import pytest
 
 from circle_billiards import cli, geometry, oracle
-from circle_billiards.core import coprime_rotations, make_rotation
+from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
 from circle_billiards.oracle import (
     arrangement_census,
     census_prefixes,
@@ -40,9 +40,9 @@ def test_census_partial_3_7():
 
 def test_census_bounds():
     rp = make_rotation(3, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         arrangement_census(rp, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         arrangement_census(rp, -1)
 
 

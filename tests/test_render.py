@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from circle_billiards.cli import main
-from circle_billiards.core import make_rotation
+from circle_billiards.core import ParameterError, make_rotation
 from circle_billiards.formula import general_sequence
 from circle_billiards.geometry import chord_list, vertex_positions
 from circle_billiards.render import (
@@ -153,11 +153,11 @@ def test_step_series_3_13_annotations(tmp_path):
 
 def test_invalid_specs_rejected():
     rp = make_rotation(3, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         RenderSpec(param=rp, upto_chord=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         RenderSpec(param=rp, upto_chord=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         RenderSpec(param=rp, upto_chord=3, canvas_size_px=32)
 
 
