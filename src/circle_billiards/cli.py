@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:  # ParameterError included
+    except ParameterError as exc:  # bad input; a broken invariant is a fault and escapes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

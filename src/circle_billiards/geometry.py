@@ -2,11 +2,12 @@
 
 Crossing detection is purely combinatorial (cyclic interleaving of vertex
 indices), so the region counts built on it are exact.  Floating point only
-enters for coordinates, ring radii and rendering.
+enters for ring radii, rendering and coordinates: one direction table per q.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,16 +64,15 @@ class TrajectoryGeometry:
     intersections: tuple[Intersection, ...]
 
 
-def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
-    """Reflection point j at angle 2*pi*j/q on the unit circle.
+@functools.lru_cache(maxsize=1)  # coprime_rotations yields the pairs grouped by q
+def _directions(q: int) -> tuple[tuple[float, float], ...]:
+    """The 2q unit directions (cos, sin) of pi*m/q; vertex j is slot 2j."""
+    return tuple((math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q))
 
-    Consecutive star corners subtend the central angle 2*pi/q.
-    """
-    q = param.q
-    return [
-        (math.cos(2.0 * math.pi * j / q), math.sin(2.0 * math.pi * j / q))
-        for j in range(q)
-    ]
+
+def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
+    """Reflection point j at angle 2*pi*j/q, in a fresh list from the table built once per q."""
+    return list(_directions(param.q)[::2])
 
 
 def chord_list(param: RotationParameter) -> list[Chord]:
@@ -138,24 +138,25 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
 
     The one reader and judge of the ring set-up: radii that do not strictly
     decrease raise RingAssignmentError with chord_a None before anything
-    else.  Then each vertex is tied to the direction table in the order the
-    trajectory visits it: vertex p*n (mod q), for n = 0..q-1, must equal
-    direction 2*(p*n mod q) bit for bit.  It ends chord n and starts chord
-    n + 1, so the first untied vertex raises with chord_a n (1 when n = 0),
-    the first chord in step order through any untied vertex.  Crossing
-    pairs (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
-    offsets k (as crossing_offsets gives them), ordered by i and then k,
-    over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the
-    two chords are mirror images across the bisector of their midpoints, so
-    they cross on it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The
-    places and the lines read one table of the 2q directions pi*m/q: chord
-    n + 1 is the line at distance cos(p*pi/q) along direction p*(2n + 1),
-    so chords i + 1 and i + 1 + k read slots p*(2i + 1) and
-    p*(2i + 1) + 2s (mod 2q).  An offset whose ring p - |s| is negative
-    (off the radius table) gets a NaN place.  A point further than
-    min(RING_TOLERANCE, half the gap to each adjacent ring) from its place
-    raises RingAssignmentError.  A caller that only counts keeps no
-    crossing.
+    else.  Then each vertex is tied to the table _directions(q) it is read
+    from, in the order the trajectory visits it: vertex p*n (mod q), for
+    n = 0..q-1, must equal direction 2*(p*n mod q) bit for bit.  It ends
+    chord n and starts chord n + 1, so the first untied vertex raises with
+    chord_a n (1 when n = 0), the first chord in step order through any
+    untied vertex.  An error in the table itself shows only at the places,
+    which rest on ring_radii's own formula.  Crossing pairs (chord i + 1,
+    chord i + 1 + k), i 0-based, come from the crossing offsets k (as
+    crossing_offsets gives them), ordered by i and then k, over the rows
+    i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two chords are
+    mirror images across the bisector of their midpoints, so they cross on
+    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the
+    lines read the same table: chord n + 1 is the line at distance
+    cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and i + 1 + k
+    read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose
+    ring p - |s| is negative (off the radius table) gets a NaN place.  A
+    point further than min(RING_TOLERANCE, half the gap to each adjacent
+    ring) from its place raises RingAssignmentError.  A caller that only
+    counts keeps no crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
@@ -165,15 +166,14 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     radii = [rr.normalized_radius for rr in ring_radii(param)]
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
-    unit = [(math.cos(math.pi * m / q), math.sin(math.pi * m / q)) for m in range(2 * q)]
+    unit = _directions(q)
     verts = vertex_positions(param)
     for n in range(q):
         j = p * n % q
         if verts[j] != unit[2 * j]:
             raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1)
     d = unit[p][0]
-    half_gaps = [(a - b) / 2.0 for a, b in zip(radii, radii[1:])]
-    half_gaps = [math.inf, *half_gaps, math.inf]
+    half_gaps = [math.inf, *((a - b) / 2.0 for a, b in zip(radii, radii[1:])), math.inf]
     tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
     places = []
     for k in offsets:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import circle_billiards
-from circle_billiards import cli
+from circle_billiards import cli, formula
 from circle_billiards.cli import main, run_verification
 from circle_billiards.core import RotationParameter, coprime_rotations
 from circle_billiards.oracle import CheckResult
@@ -75,13 +75,6 @@ def test_seq_invalid_parameters(capsys):
 def test_seq_q_guard(capsys):
     code, _, err = run_cli(capsys, "seq", "-p", "1", "-q", str(10**6 + 1))
     assert code == 2
-
-
-@pytest.mark.parametrize("argv", [["scan"], ["verify", "--force"]])
-def test_q_max_guard(capsys, argv):
-    code, _, err = run_cli(capsys, *argv, "--q-max", str(10**6 + 1))
-    assert code == 2
-    assert "q_max must be at most" in err
 
 
 def test_radii_3_7(capsys):
@@ -161,16 +154,6 @@ def test_verify_keeps_each_failed_check_with_its_pair(monkeypatch):
     )
 
 
-def test_verify_usage_errors(capsys):
-    code, _, err = run_cli(capsys, "verify", "--q-max", "2")
-    assert code == 2
-    code, _, err = run_cli(capsys, "verify", "--q-max", "501")
-    assert code == 2
-    assert "--force" in err
-    code, _, err = run_cli(capsys, "verify", "--q-max", "10", "--jobs", "0")
-    assert code == 2
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -192,10 +175,11 @@ def test_verify_usage_errors(capsys):
             "2/4 reduces to 1/2: out of supported range (p/q < 1/2 required)",
         ),
         (["verify", "--force", "--q-max", "1000001"], "q_max must be at most 1000000, got 1000001"),
+        (["scan", "--q-max", "1000001"], "q_max must be at most 1000000, got 1000001"),
     ],
     ids=[
         "verify-q-max-2", "scan-q-max-2", "verify-cap", "jobs-0", "series-no-out",
-        "series-rings", "seq-half", "q-max-above-MAX_Q",
+        "series-rings", "seq-half", "q-max-above-MAX_Q", "scan-q-max-above-MAX_Q",
     ],
 )
 def test_usage_error_is_one_stderr_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -270,7 +254,8 @@ def test_render_series(tmp_path, capsys):
     assert len(sorted(outdir.glob("step_*.svg"))) == 14
 
 
-@pytest.mark.parametrize("out", [[], ["-o", "-"], ["-o", ""]], ids=["none", "stdout", "empty"])
+# Without -o at all: the series-no-out case of test_usage_error_is_one_stderr_line.
+@pytest.mark.parametrize("out", [["-o", "-"], ["-o", ""]], ids=["stdout", "empty"])
 def test_render_series_needs_out(tmp_path, monkeypatch, capsys, out):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "render", "-p", "3", "-q", "7", "--series", *out)
@@ -304,6 +289,21 @@ def test_render_series_accepts_default_size(tmp_path, capsys):
 def test_render_bad_step(capsys):
     code, _, err = run_cli(capsys, "render", "-p", "3", "-q", "7", "--step", "8")
     assert code == 2
+
+
+def test_broken_invariant_is_not_a_usage_error(monkeypatch):
+    # A generator off by one at the last step breaks DivisionSequence's
+    # f_q invariant: a program fault, which must not exit 2 as bad input.
+    true = formula._general_increments
+
+    def last_step_plus_one(param):
+        steps = true(param)
+        steps[-1] += 1
+        return steps
+
+    monkeypatch.setattr(formula, "_general_increments", last_step_plus_one)
+    with pytest.raises(ValueError, match=r"^f_q must be 40, got 41$"):
+        main(["seq", "-p", "3", "-q", "13"])
 
 
 def test_usage_error_exit_code():

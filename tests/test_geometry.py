@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circle_billiards import geometry
+from circle_billiards.cli import run_verification
 from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.geometry import (
     Chord,
@@ -29,6 +30,20 @@ def test_vertex_positions_examples():
     assert star[0] == pytest.approx((1.0, 0.0), abs=1e-12)
     pentagram = vertex_positions(make_rotation(2, 5))
     assert pentagram[2] == pytest.approx((-0.809017, 0.587785), abs=1e-6)
+
+
+def test_direction_table_is_built_once_per_q():
+    # coprime_rotations yields the pairs grouped by q, so one entry serves a sweep.
+    geometry._directions.cache_clear()
+    run_verification(12)
+    assert geometry._directions.cache_info().misses == 10  # q = 3..12
+
+
+def test_vertex_positions_returns_a_fresh_list():
+    rp = make_rotation(2, 5)
+    verts = vertex_positions(rp)
+    verts[0] = (0.0, 0.0)
+    assert vertex_positions(rp)[0] == (1.0, 0.0)
 
 
 def test_all_chords_same_length():

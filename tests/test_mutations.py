@@ -10,7 +10,12 @@ mutation there.  Those gaps are findings, not cases to drop:
   and its faces do not depend on them, so reordering chords is invisible;
 - the p = 1 rows of swap_rings, the offset mutations other than
   add_offset, and move_plateau_boundary, where the mutation changes
-  nothing (one ring, no offset, no plateau boundary).
+  nothing (one ring, no offset, no plateau boundary);
+- nudge_vertex_direction: the drawn vertices and the ring check read one
+  direction table, so the vertex tie cannot see an error in the table
+  itself, and one ulp moves a crossing far less than the ring tolerance.
+  A larger table error still shows at the crossings' places, which rest on
+  ring_radii's own formula (move_direction_1; at p = 1 nothing is placed).
 
 A closed form that does not apply to a pair (special_form needs q = 2p + 1,
 r1_form needs r = 1) is not built there, so its mutation cannot show.
@@ -50,6 +55,21 @@ def _nudge(true, param):
     x, y = verts[-2]
     verts[-2] = (math.nextafter(x, 2.0), y)
     return verts
+
+
+def _nudge_direction(true, q):
+    # Slot 2(q - 2) of the direction table, vertex q - 2's, one ulp off.
+    table = list(true(q))
+    x, y = table[2 * (q - 2)]
+    table[2 * (q - 2)] = (math.nextafter(x, 2.0), y)
+    return table
+
+
+def _move_direction_1(true, q):
+    # Slot 1 of the direction table turned by 1e-6 rad.
+    table = list(true(q))
+    table[1] = (math.cos(math.pi / q + 1e-6), math.sin(math.pi / q + 1e-6))
+    return table
 
 
 def _scale_rings(true, param):
@@ -157,6 +177,8 @@ MUTATIONS = {
     "rotate_vertices": ((geometry,), "vertex_positions", _rotate),
     "move_vertex": ((geometry,), "vertex_positions", _move),
     "nudge_vertex": ((geometry,), "vertex_positions", _nudge),
+    "nudge_vertex_direction": ((geometry,), "_directions", _nudge_direction),
+    "move_direction_1": ((geometry,), "_directions", _move_direction_1),
     "scale_rings": ((geometry,), "ring_radii", _scale_rings),
     "swap_rings": ((geometry,), "ring_radii", _swap_rings),
     "pinch_chord": ((oracle,), "chord_list", _pinch),
@@ -224,6 +246,8 @@ EXPECTED = {
     "rotate_vertices": _everywhere(("rings", 1)),
     "move_vertex": _vertex_q_minus_2,
     "nudge_vertex": _vertex_q_minus_2,
+    "nudge_vertex_direction": _everywhere(),
+    "move_direction_1": _beyond_p1(("rings", 1)),
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
     "pinch_chord": _everywhere(("full_orbit_census", None)),
