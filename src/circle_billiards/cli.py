@@ -67,12 +67,11 @@ def cmd_seq(args) -> int:
     param = make_rotation(args.p, args.q)
     seq, source = _sequence_for(param)
     if args.format == "plain":
-        print(" ".join(str(v) for v in seq.values))
+        print(" ".join(map(str, seq.values)))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "f_n"])
-        for n, v in enumerate(seq.values):
-            writer.writerow([n, v])
+        writer.writerows(enumerate(seq.values))
     else:
         payload = {
             "p": param.p,
@@ -165,7 +164,7 @@ def cmd_scan(args) -> int:
                 param.m,
                 param.r,
                 seq.values[-1],
-                ";".join(str(v) for v in seq.values),
+                ";".join(map(str, seq.values)),
             ]
         )
     to_stdout = args.output in (None, "-")

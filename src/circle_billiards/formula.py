@@ -19,12 +19,13 @@ from .core import ParameterError, RotationParameter, _require_ints, make_rotatio
 
 @dataclass(frozen=True)
 class DivisionSequence:
-    """The exact region counts f_0..f_q; ``increments`` is derived from them.
+    """The exact region counts f_0..f_q and the increments f_n - f_(n-1).
 
-    Construction enforces the structural invariants every correct sequence
-    satisfies: f_0 = 1, f_q = p*q + 1, and each chord adds between 1 and
-    2p - 1 regions.  It keeps no note of its generator, so two sequences are
-    equal exactly when their values are.
+    ``__post_init__`` enforces the structural invariants every correct
+    sequence satisfies: f_0 = 1, f_q = p*q + 1, and each chord adds between
+    1 and 2p - 1 regions.  ``from_increments`` keeps the increments it is
+    given, and those are what is checked.  The sequence keeps no note of its
+    generator, so two sequences are equal exactly when their values are.
     """
 
     param: RotationParameter
@@ -53,8 +54,14 @@ class DivisionSequence:
     def from_increments(
         cls, param: RotationParameter, increments: list[int]
     ) -> "DivisionSequence":
-        """The sequence f_0 = 1, f_n = 1 + increments[0] + ... + increments[n-1]."""
-        return cls(param, tuple(itertools.accumulate(increments, initial=1)))
+        """f_0 = 1, f_n = f_(n-1) + increments[n-1]; ``__post_init__`` checks them as given."""
+        steps = tuple(increments)
+        values = tuple(itertools.accumulate(steps, initial=1))
+        # Frozen: fill the dict directly, so the cached `increments` is `steps`, not re-derived.
+        seq = cls.__new__(cls)
+        seq.__dict__.update(param=param, values=values, increments=steps)
+        seq.__post_init__()
+        return seq
 
 
 def total_regions(param: RotationParameter) -> int:

@@ -140,14 +140,30 @@ def test_endpoint_totals_scan():
 
 def test_sequence_invariants_enforced():
     rp = make_rotation(3, 7)
-    with pytest.raises(ValueError):
-        DivisionSequence(rp, (1, 2))
-    with pytest.raises(ValueError):
-        DivisionSequence(rp, tuple(range(8)))  # f_0 = 0
-    with pytest.raises(ValueError, match=r"f_q must be 22, got 23"):
-        DivisionSequence(rp, (1, 2, 3, 5, 8, 12, 17, 23))
-    with pytest.raises(ValueError, match=r"increment 6 at step 4 outside 1\.\.5"):
-        DivisionSequence(rp, (1, 2, 3, 4, 10, 12, 17, 22))
-    # Step 2 is the first bad step, though step 4 holds the largest increment.
-    with pytest.raises(ValueError, match=r"increment 0 at step 2 outside 1\.\.5"):
-        DivisionSequence(rp, (1, 2, 2, 3, 9, 12, 17, 22))
+    cases = [
+        ((1, 2), r"need q\+1 values, got 2"),
+        (tuple(range(8)), r"f_0 must be 1, got 0"),
+        ((1, 2, 3, 5, 8, 12, 17, 23), r"f_q must be 22, got 23"),
+        ((1, 2, 3, 4, 10, 12, 17, 22), r"increment 6 at step 4 outside 1\.\.5"),
+        # Step 2 is the first bad step, though step 4 holds the largest increment.
+        ((1, 2, 2, 3, 9, 12, 17, 22), r"increment 0 at step 2 outside 1\.\.5"),
+    ]
+    for values, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DivisionSequence(rp, values)
+        if values[0] != 1:
+            continue  # from_increments always starts at f_0 = 1
+        steps = tuple(b - a for a, b in zip(values, values[1:]))
+        with pytest.raises(ValueError, match=message):
+            DivisionSequence.from_increments(rp, steps)
+
+
+def test_from_increments_keeps_the_given_increments():
+    rp = make_rotation(3, 7)
+    steps = (1, 1, 2, 3, 4, 5, 5)
+    assert DivisionSequence.from_increments(rp, steps).increments is steps
+    given = list(steps)
+    seq = DivisionSequence.from_increments(rp, given)
+    given[0] = 99
+    assert seq.increments == steps
+    assert seq == DivisionSequence(rp, (1, 2, 3, 5, 8, 12, 17, 22))
