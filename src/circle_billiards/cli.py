@@ -24,6 +24,8 @@ from .render import RenderSpec, render_step_series, render_svg
 # this an explicit --force is required.
 VERIFY_Q_CAP = 500
 
+_PLAIN_CHUNK = 1 << 16  # values per write of `seq` plain: few str objects live at once
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -67,7 +69,9 @@ def cmd_seq(args) -> int:
     param = make_rotation(args.p, args.q)
     seq, source = _sequence_for(param)
     if args.format == "plain":
-        print(" ".join(map(str, seq.values)))
+        for i in range(0, len(seq.values), _PLAIN_CHUNK):
+            sys.stdout.write(" " * (i > 0) + " ".join(map(str, seq.values[i : i + _PLAIN_CHUNK])))
+        print()
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "f_n"])

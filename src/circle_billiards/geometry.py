@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import RotationParameter
@@ -138,25 +139,26 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
 
     The one reader and judge of the ring set-up: radii that do not strictly
     decrease raise RingAssignmentError with chord_a None before anything
-    else.  Then each vertex is tied to the table _directions(q) it is read
-    from, in the order the trajectory visits it: vertex p*n (mod q), for
-    n = 0..q-1, must equal direction 2*(p*n mod q) bit for bit.  It ends
-    chord n and starts chord n + 1, so the first untied vertex raises with
-    chord_a n (1 when n = 0), the first chord in step order through any
-    untied vertex.  An error in the table itself shows only at the places,
-    which rest on ring_radii's own formula.  Crossing pairs (chord i + 1,
-    chord i + 1 + k), i 0-based, come from the crossing offsets k (as
-    crossing_offsets gives them), ordered by i and then k, over the rows
-    i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two chords are
-    mirror images across the bisector of their midpoints, so they cross on
-    it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places and the
-    lines read the same table: chord n + 1 is the line at distance
+    else.  Then the vertices are tied bit for bit to the table _directions(q)
+    they are read from.  One comparison with its even slots decides a tied
+    figure; only an untied one runs the loop that locates the failure.  It
+    visits vertex p*n (mod q), which ends chord n and starts chord n + 1,
+    for n = 0..q-1, and raises with chord_a n (1 when n = 0) at the first
+    vertex off direction 2*(p*n mod q): the first chord in step order
+    through any untied vertex.  An error in the table itself shows only at
+    the places, which rest on ring_radii's own formula.  Crossing pairs
+    (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
+    offsets k (as crossing_offsets gives them), ordered by i and then k,
+    over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two
+    chords are mirror images across the bisector of their midpoints, so they
+    cross on it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places
+    and the lines read the same table: chord n + 1 is the line at distance
     cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and i + 1 + k
-    read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose
-    ring p - |s| is negative (off the radius table) gets a NaN place.  A
-    point further than min(RING_TOLERANCE, half the gap to each adjacent
-    ring) from its place raises RingAssignmentError.  A caller that only
-    counts keeps no crossing.
+    read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose ring
+    p - |s| is negative (off the radius table) gets a NaN place.  A point
+    further than min(RING_TOLERANCE, half the gap to each adjacent ring)
+    from its place raises RingAssignmentError.  A caller that only counts
+    keeps no crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
@@ -164,17 +166,20 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     """
     p, q = param.p, param.q
     radii = [rr.normalized_radius for rr in ring_radii(param)]
-    if any(a <= b for a, b in zip(radii, radii[1:])):
+    if any(map(operator.le, radii, radii[1:])):
         raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
     unit = _directions(q)
     verts = vertex_positions(param)
-    for n in range(q):
-        j = p * n % q
-        if verts[j] != unit[2 * j]:
-            raise RingAssignmentError(f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1)
+    if verts != list(unit[::2]):
+        for n in range(q):
+            j = p * n % q
+            if verts[j] != unit[2 * j]:
+                raise RingAssignmentError(
+                    f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1
+                )
     d = unit[p][0]
-    half_gaps = [math.inf, *((a - b) / 2.0 for a, b in zip(radii, radii[1:])), math.inf]
-    tolerance = [min(RING_TOLERANCE, *pair) for pair in zip(half_gaps, half_gaps[1:])]
+    half_gaps = [math.inf, *map((0.5).__mul__, map(operator.sub, radii, radii[1:])), math.inf]
+    tolerance = list(map(functools.partial(min, RING_TOLERANCE), half_gaps, half_gaps[1:]))
     places = []
     for k in offsets:
         s = p * k % q

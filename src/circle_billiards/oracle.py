@@ -20,7 +20,7 @@ every stage is O(q); the public counters compute their own offsets.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 from .core import ParameterError, RotationParameter, _require_ints
@@ -65,7 +65,7 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
 
 
 def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
-    increments = [1 + c for c in _crossing_counts(param.q, offsets)]
+    increments = map((1).__add__, _crossing_counts(param.q, offsets))
     return DivisionSequence.from_increments(param, increments)
 
 
@@ -130,7 +130,9 @@ class VerificationReport:
 
 
 def _compare(name: str, xs, ys) -> CheckResult:
-    """Check name passes iff xs == ys; else first_divergence is the first index that differs."""
+    """Pass iff xs == ys; only a failure runs the loop, to find the first index that differs."""
+    if xs == ys:  # a list against an equal tuple falls through, and passes below
+        return CheckResult(name, True)
     for n, (x, y) in enumerate(zip(xs, ys)):
         if x != y:
             return CheckResult(name, False, n)
@@ -153,16 +155,17 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     first_divergence is the chord_a of the RingAssignmentError raised: the
     first chord in step order through a vertex off its table direction, the
     earlier chord of the first crossing off its place, or None for radii out
-    of order.  It is None when only the counts are wrong.
+    of order.  It is None when only the counts are wrong: the p counts are
+    one list compared with [0, q, ..., q] at once, and no loop locates them.
     """
-    q = param.q
-    per_ring = Counter()
+    p, q = param.p, param.q
+    per_ring = [0] * p
     try:
         for _, b, _, ring in _crossings(param, offsets, 1):
-            per_ring[ring] += q + 1 - b
+            per_ring[ring] += q + 1 - b  # ring >= 0: a negative ring's NaN place raises
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
-    return CheckResult("rings", per_ring == dict.fromkeys(range(1, param.p), q))
+    return CheckResult("rings", per_ring == [0] + [q] * (p - 1))
 
 
 def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
@@ -192,7 +195,7 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     census = _census_prefixes(param, offsets)
     checks = [
         _compare("general_vs_oracle", general.values, oracle.values),
-        _compare("census_vs_general", tuple(f for _, _, f in census), general.values),
+        _compare("census_vs_general", tuple(map(operator.itemgetter(2), census)), general.values),
         CheckResult("full_orbit_census", census[-1] == euler_counts(param)),
     ]
 

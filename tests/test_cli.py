@@ -10,7 +10,7 @@ import pytest
 import circle_billiards
 from circle_billiards import cli, formula
 from circle_billiards.cli import main, run_verification
-from circle_billiards.core import RotationParameter, coprime_rotations
+from circle_billiards.core import RotationParameter, coprime_rotations, make_rotation
 from circle_billiards.oracle import CheckResult
 from test_mutations import apply_mutation
 
@@ -30,6 +30,20 @@ def test_seq_plain_3_13(capsys):
 def test_seq_plain_triangle(capsys):
     _, out, _ = run_cli(capsys, "seq", "-p", "1", "-q", "3")
     assert out.strip() == "1 2 3 4"
+
+
+_CHUNK_CASES = [(1, 3), (1, 4), (2, 5), (1, 6), (2, 7), (3, 8), (2, 9)]
+
+
+@pytest.mark.parametrize("p, q", _CHUNK_CASES, ids=[f"{q + 1}-values" for _, q in _CHUNK_CASES])
+def test_seq_plain_chunk_boundaries(capsys, monkeypatch, p, q):
+    # Three values per write: q + 1 runs over 4..10, so it falls below, on
+    # and just above the multiples 6 and 9 of the chunk.
+    monkeypatch.setattr(cli, "_PLAIN_CHUNK", 3)
+    values = formula.general_sequence(make_rotation(p, q)).values
+    code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q))
+    assert code == 0
+    assert out == " ".join(map(str, values)) + "\n"
 
 
 def test_seq_json_uses_special_form(capsys):

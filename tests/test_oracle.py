@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circle_billiards import cli, geometry, oracle
 from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
 from circle_billiards.oracle import (
+    CheckResult,
     arrangement_census,
     census_prefixes,
     oracle_sequence,
@@ -156,6 +159,55 @@ def test_full_orbit_census_fails_on_pinched_chord(monkeypatch, pq):
     assert (full.vertices_count, full.edges_count) == (rp.p * rp.q - 1, 2 * rp.p * rp.q - 1)
     report = verify_pair(rp)
     assert [c.name for c in report.failures()] == ["full_orbit_census"]
+
+
+def _compare_by_loop(name, xs, ys):
+    # Reference: _compare's loop alone, without the == that decides a pass.
+    for n, (x, y) in enumerate(zip(xs, ys)):
+        if x != y:
+            return CheckResult(name, False, n)
+    if len(xs) != len(ys):
+        return CheckResult(name, False, min(len(xs), len(ys)))
+    return CheckResult(name, True)
+
+
+@st.composite
+def _sequence_pairs(draw):
+    # Equal sequences, a difference at index i, or a strict prefix.
+    xs = draw(st.lists(st.integers(0, 3), max_size=8))
+    how = draw(st.sampled_from(["equal", "differ", "prefix"]))
+    ys = list(xs)
+    if how == "differ" and xs:
+        i = draw(st.integers(0, len(xs) - 1))
+        ys[i] += draw(st.integers(1, 3))
+    elif how == "prefix" and xs:
+        ys = xs[: draw(st.integers(0, len(xs) - 1))]
+    return (xs, ys) if draw(st.booleans()) else (ys, xs)
+
+
+@given(_sequence_pairs())
+def test_compare_reports_what_the_loop_reports(pair):
+    xs, ys = map(tuple, pair)
+    assert oracle._compare("c", xs, ys) == _compare_by_loop("c", xs, ys)
+
+
+def test_compare_passes_a_list_against_an_equal_tuple():
+    assert oracle._compare("c", [1, 2, 3], (1, 2, 3)) == CheckResult("c", True)
+    assert oracle._compare("c", [1, 2, 3], (1, 2, 4)) == CheckResult("c", False, 2)
+    assert oracle._compare("c", [1, 2], (1, 2, 3)) == CheckResult("c", False, 2)
+
+
+def test_ring_check_counts_each_ring_once():
+    # p = 1 has one ring, the circle, and no crossing: its one count is 0.
+    for q in range(3, 13):
+        rp = make_rotation(1, q)
+        assert oracle._ring_check(rp, geometry.crossing_offsets(rp)) == CheckResult("rings", True)
+    # Offset 1 puts the meeting of chords 1 and 2, their shared vertex, on
+    # ring 0, whose count must stay 0.
+    for pq in [(1, 5), (2, 5), (3, 13)]:
+        rp = make_rotation(*pq)
+        offsets = sorted({1, *geometry.crossing_offsets(rp)})
+        assert oracle._ring_check(rp, offsets) == CheckResult("rings", False)
 
 
 def _rings_check(report):
