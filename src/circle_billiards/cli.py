@@ -24,7 +24,7 @@ from .render import RenderSpec, render_step_series, render_svg
 # this an explicit --force is required.
 VERIFY_Q_CAP = 500
 
-_PLAIN_CHUNK = 1 << 16  # values per write of `seq` plain: few str objects live at once
+_CHUNK = 1 << 16  # values per write of `seq` plain and json: few str objects live at once
 
 
 @dataclass(frozen=True)
@@ -65,28 +65,36 @@ def _sequence_for(param):
     return general_sequence(param), "GeneralFormula"
 
 
+def _write_chunked(xs, sep: str, encode) -> None:
+    """Write encode(chunk) for each slice of _CHUNK items of xs, separated by sep."""
+    for i in range(0, len(xs), _CHUNK):
+        sys.stdout.write(sep * (i > 0) + encode(xs[i : i + _CHUNK]))
+
+
+def _json_items(xs) -> str:
+    """The items of json.dumps(xs) without the brackets, from the C encoder."""
+    return json.dumps(xs)[1:-1]
+
+
 def cmd_seq(args) -> int:
     param = make_rotation(args.p, args.q)
     seq, source = _sequence_for(param)
     if args.format == "plain":
-        for i in range(0, len(seq.values), _PLAIN_CHUNK):
-            sys.stdout.write(" " * (i > 0) + " ".join(map(str, seq.values[i : i + _PLAIN_CHUNK])))
+        _write_chunked(seq.values, " ", lambda xs: " ".join(map(str, xs)))
         print()
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "f_n"])
         writer.writerows(enumerate(seq.values))
     else:
-        payload = {
-            "p": param.p,
-            "q": param.q,
-            "m": param.m,
-            "r": param.r,
-            "source": source,
-            "values": seq.values,
-            "increments": seq.increments,
-        }
-        print(json.dumps(payload))
+        # The bytes of json.dumps(payload) + "\n" with keys p, q, m, r,
+        # source, values, increments, written without the whole document.
+        header = {"p": param.p, "q": param.q, "m": param.m, "r": param.r, "source": source}
+        sys.stdout.write(json.dumps(header)[:-1] + ', "values": [')
+        _write_chunked(seq.values, ", ", _json_items)
+        sys.stdout.write('], "increments": [')
+        _write_chunked(seq.increments, ", ", _json_items)
+        sys.stdout.write("]}\n")
     return 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -39,11 +40,36 @@ _CHUNK_CASES = [(1, 3), (1, 4), (2, 5), (1, 6), (2, 7), (3, 8), (2, 9)]
 def test_seq_plain_chunk_boundaries(capsys, monkeypatch, p, q):
     # Three values per write: q + 1 runs over 4..10, so it falls below, on
     # and just above the multiples 6 and 9 of the chunk.
-    monkeypatch.setattr(cli, "_PLAIN_CHUNK", 3)
+    monkeypatch.setattr(cli, "_CHUNK", 3)
     values = formula.general_sequence(make_rotation(p, q)).values
     code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q))
     assert code == 0
     assert out == " ".join(map(str, values)) + "\n"
+
+
+_JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)]
+
+
+@pytest.mark.parametrize(
+    "p, q", _JSON_CHUNK_CASES, ids=[f"{p}-{q}" for p, q in _JSON_CHUNK_CASES]
+)
+def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
+    # Both arrays are written three items at a time, over the same 4..10
+    # values as the plain case; 1/3, 2/5 and 3/7 take the special form.
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    seq = formula.general_sequence(make_rotation(p, q))
+    payload = {
+        "p": p,
+        "q": q,
+        "m": q // p,
+        "r": q % p,
+        "source": "SpecialClosedForm" if q == 2 * p + 1 else "GeneralFormula",
+        "values": list(seq.values),
+        "increments": list(seq.increments),
+    }
+    code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload) + "\n"
 
 
 def test_seq_json_uses_special_form(capsys):
@@ -305,7 +331,7 @@ def test_render_bad_step(capsys):
     assert code == 2
 
 
-def test_broken_invariant_is_not_a_usage_error(monkeypatch):
+def _break_last_general_step(monkeypatch):
     # A generator off by one at the last step breaks DivisionSequence's
     # f_q invariant: a program fault, which must not exit 2 as bad input.
     true = formula._general_increments
@@ -316,8 +342,20 @@ def test_broken_invariant_is_not_a_usage_error(monkeypatch):
         return steps
 
     monkeypatch.setattr(formula, "_general_increments", last_step_plus_one)
+
+
+def test_broken_invariant_is_not_a_usage_error(monkeypatch):
+    _break_last_general_step(monkeypatch)
     with pytest.raises(ValueError, match=r"^f_q must be 40, got 41$"):
         main(["seq", "-p", "3", "-q", "13"])
+
+
+def test_broken_invariant_writes_no_partial_json(monkeypatch, capsys):
+    # The sequence is checked before the first piece of the document is written.
+    _break_last_general_step(monkeypatch)
+    with pytest.raises(ValueError, match=r"^f_q must be 40, got 41$"):
+        main(["seq", "-p", "3", "-q", "13", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_code():
@@ -392,3 +430,27 @@ def test_seq_into_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (1, b"")
+
+
+def test_cli_pins_and_verify_120():
+    # Fresh processes, as a user runs them: the sha256 of each pinned
+    # output near MAX_Q (tests/cli_pins.txt: sha256, then argv), and the
+    # PASS line of verify --q-max 120.
+    env = {**_child_env(), "BILLIARD_COLOR": "0"}
+
+    def run(args):
+        return subprocess.run(
+            [sys.executable, "-m", "circle_billiards", *args.split()],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            env=env,
+            check=True,
+        ).stdout
+
+    lines = (Path(__file__).parent / "cli_pins.txt").read_text(encoding="utf-8").splitlines()
+    pins = [line.split(" ", 1) for line in lines]
+    assert len(pins) == 7
+    got = [[hashlib.sha256(run(args)).hexdigest(), args] for _, args in pins]
+    assert got == pins
+    out = run("verify --q-max 120").decode()
+    assert re.fullmatch(r"PASS: 2192 pairs \(\d+ ms\)\n", out), out

@@ -47,6 +47,10 @@ def test_input_validation():
         make_rotation(1, MAX_Q + 1)
 
 
+
+def test_max_q_itself_is_accepted():
+    assert make_rotation(1, MAX_Q) == RotationParameter(1, MAX_Q)
+
 @pytest.mark.parametrize(
     "p_in, q_in", [(1.0, 3), (2, 5.0), ("2", 5), (2, None), (True, 3), (1, True)]
 )
@@ -67,6 +71,11 @@ def test_coprime_rotations_q_max_checked_at_call():
         with pytest.raises(ParameterError, match=f"q_max must be {message}"):
             coprime_rotations(q_max)
 
+
+
+def test_coprime_rotations_accepts_max_q():
+    # Only the first pair is taken: the whole scan would be about 3·10¹¹ pairs.
+    assert next(coprime_rotations(MAX_Q)) == RotationParameter(1, 3)
 
 def test_rotation_parameter_is_the_pair():
     rp = RotationParameter(3, 14)
