@@ -59,7 +59,10 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     """f_n by direct counting: each chord adds 1 + (earlier chords it crosses).
 
     Valid because no three chords meet in a single interior point, so every
-    crossing splits exactly one existing region in two.
+    crossing splits exactly one existing region in two.  Proof: the q chords
+    are distinct tangents of the circle of radius cos(p*pi/q), so they meet
+    outside it, and through a point outside a circle pass exactly two
+    tangents.
     """
     return _oracle_sequence(param, crossing_offsets(param))
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import circle_billiards
 from circle_billiards import cli, formula
@@ -70,6 +72,30 @@ def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
     code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "json")
     assert code == 0
     assert out == json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, q", _JSON_CHUNK_CASES, ids=[f"{p}-{q}" for p, q in _JSON_CHUNK_CASES]
+)
+def test_seq_csv_chunk_boundaries(capsys, monkeypatch, p, q):
+    # Three rows per write, over the same pairs as the json case; the
+    # numbers n go on across the chunks.
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    values = formula.general_sequence(make_rotation(p, q)).values
+    code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "csv")
+    assert code == 0
+    assert out == "n,f_n\n" + "".join(f"{n},{f}\n" for n, f in enumerate(values))
+
+
+@given(
+    st.lists(st.integers(0, 10**18)).map(tuple),
+    st.sampled_from([" ", ", ", ";"]),  # seq plain, seq json, scan's sequence column
+)
+@example((), " ")
+@example((10**18,), ", ")
+@example((0, 1, 10**18), ";")
+def test_ints_is_str_join(xs, sep):
+    assert cli._ints(xs, sep) == sep.join(map(str, xs))
 
 
 def test_seq_json_uses_special_form(capsys):
@@ -449,7 +475,7 @@ def test_cli_pins_and_verify_120():
 
     lines = (Path(__file__).parent / "cli_pins.txt").read_text(encoding="utf-8").splitlines()
     pins = [line.split(" ", 1) for line in lines]
-    assert len(pins) == 7
+    assert len(pins) == 9
     got = [[hashlib.sha256(run(args)).hexdigest(), args] for _, args in pins]
     assert got == pins
     out = run("verify --q-max 120").decode()

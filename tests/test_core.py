@@ -38,6 +38,13 @@ def test_half_and_above_rejected():
         make_rotation(5, 7)
 
 
+def test_one_over_one_is_out_of_range():
+    # p = q = 1 passes both positivity checks and fails only the range check.
+    message = r"^1/1 reduces to 1/1: out of supported range \(p/q < 1/2 required\)$"
+    with pytest.raises(ParameterError, match=message):
+        make_rotation(1, 1)
+
+
 def test_input_validation():
     with pytest.raises(ParameterError):
         make_rotation(0, 5)

@@ -147,6 +147,8 @@ def test_sequence_invariants_enforced():
         ((1, 2, 3, 4, 10, 12, 17, 22), r"increment 6 at step 4 outside 1\.\.5"),
         # Step 2 is the first bad step, though step 4 holds the largest increment.
         ((1, 2, 2, 3, 9, 12, 17, 22), r"increment 0 at step 2 outside 1\.\.5"),
+        # Step 1 equals 2p - 1 = 5, which is in range: step 2 is named.
+        ((1, 6, 6, 8, 12, 15, 20, 22), r"increment 0 at step 2 outside 1\.\.5"),
     ]
     for values, message in cases:
         with pytest.raises(ValueError, match=message):

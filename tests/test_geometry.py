@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 from collections import Counter
 
@@ -21,6 +22,7 @@ from circle_billiards.geometry import (
     vertex_positions,
 )
 from circle_billiards.oracle import census_prefixes, oracle_sequence
+from test_oracle import _nudged
 
 
 def test_vertex_positions_examples():
@@ -258,6 +260,46 @@ def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched, chord_a):
     with pytest.raises(RingAssignmentError) as err:
         intersection_points(rp)
     assert type(err.value.chord_a) is chord_a
+
+
+@pytest.mark.parametrize(
+    "j, message, chord_a",
+    [
+        # Vertex 0 starts chord 1 (n = 0 in the loop's walk).
+        (0, "vertex 0 of 2/9 is off direction 0", 1),
+        # Vertex 7 of 2/9 ends chord 8: 2 * 8 = 16 = 7 (mod 9).
+        (7, "vertex 7 of 2/9 is off direction 14", 8),
+    ],
+)
+def test_untied_vertex_message(monkeypatch, j, message, chord_a):
+    monkeypatch.setattr(geometry, "vertex_positions", _nudged(geometry.vertex_positions, j))
+    with pytest.raises(RingAssignmentError) as err:
+        intersection_points(make_rotation(2, 9))
+    assert (str(err.value), err.value.chord_a) == (message, chord_a)
+
+
+@pytest.mark.parametrize(
+    "spared, message, chord_a",
+    [
+        # Row 0 of 3/7 locates chord 1's crossings with chords 3, 4, 5, 6
+        # (offsets 2, 3, 4, 5 on rings 2, 1, 1, 2); row 1 starts at 2,4.
+        (1, "crossing of chords 1,4 at (nan, nan) is nan from its place on ring 1 of 3/7", 1),
+        (4, "crossing of chords 2,4 at (nan, nan) is nan from its place on ring 2 of 3/7", 2),
+    ],
+    ids=["row-0", "row-1"],
+)
+def test_crossing_off_its_place_message(monkeypatch, spared, message, chord_a):
+    # The locator answers NaN after its first `spared` calls.
+    locate = geometry._line_intersection
+    calls = itertools.count()
+
+    def nan_after(*ends):
+        return locate(*ends) if next(calls) < spared else (math.nan, math.nan)
+
+    monkeypatch.setattr(geometry, "_line_intersection", nan_after)
+    with pytest.raises(RingAssignmentError) as err:
+        intersection_points(make_rotation(3, 7))
+    assert (str(err.value), err.value.chord_a) == (message, chord_a)
 
 
 def test_no_triple_intersections():

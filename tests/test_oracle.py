@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from circle_billiards import cli, geometry, oracle
 from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
+from circle_billiards.geometry import crossing_offsets
 from circle_billiards.oracle import (
     CheckResult,
     arrangement_census,
@@ -22,6 +23,23 @@ def test_oracle_sequence_examples():
     assert list(oracle_sequence(make_rotation(3, 13)).values) == [
         1, 2, 3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 35, 40,
     ]
+
+
+def test_no_two_crossings_share_a_place():
+    # oracle_sequence's premise, in integers only: crossing (i + 1, i + 1 + k)
+    # sits on ring p - |s| at angle pi*(p*(2i + 1) + s)/q, with s = p*k mod q
+    # taken in (-q/2, q/2).  Distinct labels mean distinct points, so no
+    # three chords meet.
+    for rp in coprime_rotations(60):
+        p, q = rp.p, rp.q
+        labels = []
+        for k in crossing_offsets(rp):
+            s = p * k % q
+            if 2 * s > q:
+                s -= q
+            labels.extend((p - abs(s), (p * (2 * i + 1) + s) % (2 * q)) for i in range(q - k))
+        assert len(labels) == q * (p - 1), (p, q)
+        assert len(set(labels)) == len(labels), (p, q)
 
 
 def test_census_full_orbit_3_7():
