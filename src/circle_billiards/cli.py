@@ -27,6 +27,8 @@ VERIFY_Q_CAP = 500
 
 _CHUNK = 1 << 16  # values per write of every `seq` format: the output is never whole
 
+_NO_FILE = "-o needs a file name ('-' for stdout)"
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -151,6 +153,8 @@ def cmd_render(args) -> int:
         paths = render_step_series(param, args.out)
         print(f"wrote {len(paths)} files to {args.out}")
         return 0
+    if args.out == "":
+        raise ParameterError(_NO_FILE)
     step = param.q if args.step is None else args.step
     spec = RenderSpec(
         param=param,
@@ -169,6 +173,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.output == "":
+        raise ParameterError(_NO_FILE)
     rows = []
     for param in coprime_rotations(args.q_max):
         seq = general_sequence(param)

@@ -76,10 +76,16 @@ def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
     return list(_directions(param.q)[::2])
 
 
+def _chord_ends(param: RotationParameter) -> list[tuple[int, int]]:
+    """(p*(n-1) mod q, p*n mod q) for n = 1..q: the one owner of the walk."""
+    p, q = param.p, param.q
+    walk = [p * n % q for n in range(q + 1)]
+    return list(zip(walk, walk[1:]))
+
+
 def chord_list(param: RotationParameter) -> list[Chord]:
     """The q chords in traversal order: chord n runs from vertex p*(n-1) to p*n (mod q)."""
-    p, q = param.p, param.q
-    return [Chord((p * (n - 1)) % q, (p * n) % q) for n in range(1, q + 1)]
+    return [Chord(a, b) for a, b in _chord_ends(param)]
 
 
 def _interleaved(a0: int, a1: int, b0: int, b1: int, q: int) -> bool:
@@ -114,15 +120,20 @@ def crossing_offsets(param: RotationParameter) -> list[int]:
     return [k for k in range(1, q) if _interleaved(0, p, p * k % q, p * (k + 1) % q, q)]
 
 
+def _radii(param: RotationParameter) -> list[float]:
+    """The floats ring_radii wraps, r_i for i = 0..p-1: the one owner of the formula."""
+    p, q = param.p, param.q
+    base = math.pi * p / q
+    return [math.cos(base) / math.cos(base - math.pi * i / q) for i in range(p)]
+
+
 def ring_radii(param: RotationParameter) -> list[RingRadius]:
     """Radii of the p concentric circles that carry the interior crossings.
 
     r_i = cos(p*pi/q) / cos(p*pi/q - i*pi/q) for i = 0..p-1, strictly
     decreasing; ring 0 is the boundary circle itself (radius exactly 1).
     """
-    p, q = param.p, param.q
-    base = math.pi * p / q
-    return [RingRadius(math.cos(base) / math.cos(base - math.pi * i / q)) for i in range(p)]
+    return [RingRadius(r) for r in _radii(param)]
 
 
 def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
@@ -137,16 +148,17 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
 def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     """Yield (chord_a, chord_b, point, ring) for interior crossings, checked.
 
-    The one reader and judge of the ring set-up: radii that do not strictly
-    decrease raise RingAssignmentError with chord_a None before anything
-    else.  Then the vertices are tied bit for bit to the table _directions(q)
-    they are read from.  One comparison with its even slots decides a tied
+    The one reader and judge of the ring set-up.  It reads the radii as the
+    plain floats of _radii, which ring_radii wraps; radii that do not
+    strictly decrease raise RingAssignmentError with chord_a None before
+    anything else.  Then the vertices are tied bit for bit to the table
+    _directions(q) they are read from.  One comparison with its even slots decides a tied
     figure; only an untied one runs the loop that locates the failure.  It
     visits vertex p*n (mod q), which ends chord n and starts chord n + 1,
     for n = 0..q-1, and raises with chord_a n (1 when n = 0) at the first
     vertex off direction 2*(p*n mod q): the first chord in step order
     through any untied vertex.  An error in the table itself shows only at
-    the places, which rest on ring_radii's own formula.  Crossing pairs
+    the places, which rest on _radii's own formula.  Crossing pairs
     (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
     offsets k (as crossing_offsets gives them), ordered by i and then k,
     over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two
@@ -165,7 +177,7 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     it, so the first rows stand for the rest.
     """
     p, q = param.p, param.q
-    radii = [rr.normalized_radius for rr in ring_radii(param)]
+    radii = _radii(param)
     if any(map(operator.le, radii, radii[1:])):
         raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
     unit = _directions(q)

@@ -15,10 +15,16 @@ is involved.  verify_pair also runs the float ring check; _ring_check says
 why chord 1's crossings stand for the full orbit and what that loses.
 verify_pair computes the offsets once and hands them to all three, and its
 every stage is O(q); the public counters compute their own offsets.
+verify_pair reads plain values only: the census reads the chord ends as
+tuples from geometry._chord_ends, the ring check reads the radii as floats
+from geometry._radii, and each passing CheckResult is one shared record per
+check name.  The public records, Chord and RingRadius, are built only by
+chord_list and ring_radii, which wrap those same values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -31,7 +37,7 @@ from .formula import (
     r1_sequence,
     special_sequence,
 )
-from .geometry import RingAssignmentError, _crossings, chord_list, crossing_offsets
+from .geometry import RingAssignmentError, _chord_ends, _crossings, crossing_offsets
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,17 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
 def _census_prefixes(
     param: RotationParameter, offsets: list[int]
 ) -> list[tuple[int, int, int]]:
-    """census_prefixes as (vertices, edges, faces) tuples, from the given offsets."""
+    """census_prefixes as (vertices, edges, faces) tuples, from the given offsets.
+
+    The touched vertices come from the chord ends of geometry._chord_ends,
+    the (from, to) tuples that chord_list wraps; the crossings come from
+    the offsets.
+    """
     touched = set()
     out = [(0, 0, 1)]
     crossings = itertools.accumulate(_crossing_counts(param.q, offsets))
-    for n, (ch, x) in enumerate(zip(chord_list(param), crossings), start=1):
-        touched.add(ch.from_vertex)
-        touched.add(ch.to_vertex)
+    for n, (ends, x) in enumerate(zip(_chord_ends(param), crossings), start=1):
+        touched.update(ends)
         t = len(touched)
         v = t + x
         e = t + n + 2 * x
@@ -132,16 +142,27 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
+@functools.cache
+def _passed(name: str) -> CheckResult:
+    """The one passing CheckResult of each check name; it is frozen, so reports share it."""
+    return CheckResult(name, True)
+
+
+def _result(name: str, passed: bool) -> CheckResult:
+    """The shared pass, or a fresh failure with no first_divergence."""
+    return _passed(name) if passed else CheckResult(name, False)
+
+
 def _compare(name: str, xs, ys) -> CheckResult:
     """Pass iff xs == ys; only a failure runs the loop, to find the first index that differs."""
     if xs == ys:  # a list against an equal tuple falls through, and passes below
-        return CheckResult(name, True)
+        return _passed(name)
     for n, (x, y) in enumerate(zip(xs, ys)):
         if x != y:
             return CheckResult(name, False, n)
     if len(xs) != len(ys):
         return CheckResult(name, False, min(len(xs), len(ys)))
-    return CheckResult(name, True)
+    return _passed(name)
 
 
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
@@ -168,7 +189,7 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
             per_ring[ring] += q + 1 - b  # ring >= 0: a negative ring's NaN place raises
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
-    return CheckResult("rings", per_ring == [0] + [q] * (p - 1))
+    return _result("rings", per_ring == [0] + [q] * (p - 1))
 
 
 def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
@@ -199,7 +220,7 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     checks = [
         _compare("general_vs_oracle", general.values, oracle.values),
         _compare("census_vs_general", tuple(map(operator.itemgetter(2), census)), general.values),
-        CheckResult("full_orbit_census", census[-1] == euler_counts(param)),
+        _result("full_orbit_census", census[-1] == euler_counts(param)),
     ]
 
     if param.q == 2 * param.p + 1:

@@ -242,10 +242,13 @@ def test_verify_keeps_each_failed_check_with_its_pair(monkeypatch):
         ),
         (["verify", "--force", "--q-max", "1000001"], "q_max must be at most 1000000, got 1000001"),
         (["scan", "--q-max", "1000001"], "q_max must be at most 1000000, got 1000001"),
+        (["scan", "--q-max", "5", "-o", ""], "-o needs a file name ('-' for stdout)"),
+        (["render", "-p", "2", "-q", "5", "-o", ""], "-o needs a file name ('-' for stdout)"),
     ],
     ids=[
         "verify-q-max-2", "scan-q-max-2", "verify-cap", "jobs-0", "series-no-out",
         "series-rings", "seq-half", "q-max-above-MAX_Q", "scan-q-max-above-MAX_Q",
+        "scan-empty-out", "render-empty-out",
     ],
 )
 def test_usage_error_is_one_stderr_line(tmp_path, monkeypatch, capsys, argv, message):

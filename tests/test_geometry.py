@@ -13,7 +13,6 @@ from circle_billiards.core import coprime_rotations, make_rotation
 from circle_billiards.geometry import (
     Chord,
     RingAssignmentError,
-    RingRadius,
     chord_list,
     chords_cross,
     crossing_offsets,
@@ -254,9 +253,8 @@ def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched, chord_a):
     # (chord_a None); the moved ones fail the half-gap cap at a crossing.
     rp = make_rotation(3, 7)
     radii = patched([rr.normalized_radius for rr in ring_radii(rp)])
-    table = [RingRadius(r) for r in radii]
     monkeypatch.setattr(geometry, "RING_TOLERANCE", 1.0)
-    monkeypatch.setattr(geometry, "ring_radii", lambda param: table)
+    monkeypatch.setattr(geometry, "_radii", lambda param: radii)
     with pytest.raises(RingAssignmentError) as err:
         intersection_points(rp)
     assert type(err.value.chord_a) is chord_a

@@ -75,14 +75,11 @@ def _move_direction_1(true, q):
 def _scale_rings(true, param):
     # Rings 1..p-1 pushed out by 1e-6 of their radius.
     table = true(param)
-    return table[:1] + [
-        geometry.RingRadius(rr.normalized_radius * (1 + 1e-6))
-        for rr in table[1:]
-    ]
+    return table[:1] + [r * (1 + 1e-6) for r in table[1:]]
 
 
 def _swap_rings(true, param):
-    # The two innermost radii exchanged (rings p - 2 and p - 1).
+    # The two innermost radii exchanged (rings p - 2 and p - 1), as floats.
     table = true(param)
     if len(table) < 2:
         return table
@@ -91,19 +88,13 @@ def _swap_rings(true, param):
 
 
 def _pinch(true, param):
-    # Vertex 2p (mod q) moved onto vertex 0.
+    # Vertex 2p (mod q) moved onto vertex 0, in the (from, to) chord ends.
     lost = 2 * param.p % param.q
-    return [
-        geometry.Chord(
-            0 if ch.from_vertex == lost else ch.from_vertex,
-            0 if ch.to_vertex == lost else ch.to_vertex,
-        )
-        for ch in true(param)
-    ]
+    return [(0 if a == lost else a, 0 if b == lost else b) for a, b in true(param)]
 
 
 def _swap_chords(true, param):
-    # The first and the last chord exchanged in traversal order.
+    # The first and the last chord ends exchanged in traversal order.
     chords = true(param)
     chords[0], chords[-1] = chords[-1], chords[0]
     return chords
@@ -171,18 +162,21 @@ def _spare_chord_one(true, normal_a, normal_b, d):
 
 
 # name -> (modules whose binding is replaced, function name, mutant).  The
-# census reads its chord endpoints from oracle.chord_list; crossing_offsets
-# derives its own, so the chord mutations reach the census alone.
+# census reads its chord ends from oracle._chord_ends, and chord_list wraps
+# geometry._chord_ends; crossing_offsets derives its own, so within
+# verify_pair the chord mutations reach the census alone.  The ring
+# mutations replace geometry._radii, the floats that ring_radii wraps and
+# the ring check reads.
 MUTATIONS = {
     "rotate_vertices": ((geometry,), "vertex_positions", _rotate),
     "move_vertex": ((geometry,), "vertex_positions", _move),
     "nudge_vertex": ((geometry,), "vertex_positions", _nudge),
     "nudge_vertex_direction": ((geometry,), "_directions", _nudge_direction),
     "move_direction_1": ((geometry,), "_directions", _move_direction_1),
-    "scale_rings": ((geometry,), "ring_radii", _scale_rings),
-    "swap_rings": ((geometry,), "ring_radii", _swap_rings),
-    "pinch_chord": ((oracle,), "chord_list", _pinch),
-    "swap_chords": ((oracle,), "chord_list", _swap_chords),
+    "scale_rings": ((geometry,), "_radii", _scale_rings),
+    "swap_rings": ((geometry,), "_radii", _swap_rings),
+    "pinch_chord": ((geometry, oracle), "_chord_ends", _pinch),
+    "swap_chords": ((geometry, oracle), "_chord_ends", _swap_chords),
     "drop_offset": ((geometry, oracle), "crossing_offsets", _drop_offset),
     "add_offset": ((geometry, oracle), "crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "crossing_offsets", _move_offset_pair),

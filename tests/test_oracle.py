@@ -336,7 +336,7 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
         located.append(ends)
         return locate(*ends)
 
-    true_radii = geometry.ring_radii
+    true_radii = geometry._radii
     read = []
 
     def radii_counted(param):
@@ -346,8 +346,8 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     monkeypatch.setattr(geometry, "Intersection", refuse)
     monkeypatch.setattr(geometry, "TrajectoryGeometry", refuse)
     monkeypatch.setattr(geometry, "_line_intersection", counted)
-    monkeypatch.setattr(geometry, "ring_radii", radii_counted)
-    monkeypatch.setattr(oracle, "ring_radii", radii_counted, raising=False)
+    monkeypatch.setattr(geometry, "_radii", radii_counted)
+    monkeypatch.setattr(oracle, "_radii", radii_counted, raising=False)
     report = verify_pair(make_rotation(3, 13))
     assert report.ok, report.failures()
     # Only chord 1's 2(p - 1) crossings are located, not all q(p - 1), and
@@ -356,6 +356,52 @@ def test_ring_check_builds_nothing_per_crossing(monkeypatch, capsys):
     assert len(read) == 1
     assert cli.main(["verify", "--q-max", "12"]) == 0
     assert "PASS: " in capsys.readouterr().out
+
+
+def test_verify_builds_no_public_record(monkeypatch, capsys):
+    # The census reads plain chord ends and the ring check plain floats, so
+    # verify_pair and `verify` never build a Chord or a RingRadius.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a public record")
+
+    monkeypatch.setattr(geometry, "Chord", refuse)
+    monkeypatch.setattr(geometry, "RingRadius", refuse)
+    report = verify_pair(make_rotation(3, 13))
+    assert report.ok, report.failures()
+    assert cli.main(["verify", "--q-max", "12"]) == 0
+    assert "PASS: " in capsys.readouterr().out
+
+
+def test_passing_checks_are_shared_and_equal_fresh_ones():
+    first = verify_pair(make_rotation(3, 13)).checks
+    second = verify_pair(make_rotation(2, 9)).checks
+    assert all(a is b for a, b in zip(first[:3], second[:3]))
+    assert first == tuple(CheckResult(c.name, True) for c in first)
+    assert repr(first[0]) == (
+        "CheckResult(name='general_vs_oracle', passed=True, first_divergence=None)"
+    )
+
+
+def test_chord_ends_have_one_owner(monkeypatch):
+    # A wrong walk shows in the public chord_list and in the census alike.
+    rp = make_rotation(3, 13)
+    lost = 2 * rp.p % rp.q
+    before = census_prefixes(rp)
+    apply_mutation(monkeypatch, "pinch_chord")
+    drawn = {v for ch in geometry.chord_list(rp) for v in (ch.from_vertex, ch.to_vertex)}
+    assert drawn == set(range(rp.q)) - {lost}
+    after = census_prefixes(rp)
+    assert after[-1].vertices_count == before[-1].vertices_count - 1
+
+
+def test_radii_have_one_owner(monkeypatch):
+    # A wrong radius table shows in the public ring_radii and in the ring check alike.
+    rp = make_rotation(3, 13)
+    before = [rr.normalized_radius for rr in geometry.ring_radii(rp)]
+    apply_mutation(monkeypatch, "scale_rings")
+    after = [rr.normalized_radius for rr in geometry.ring_radii(rp)]
+    assert after == [before[0]] + [r * (1 + 1e-6) for r in before[1:]]
+    assert not _rings_check(verify_pair(rp)).passed
 
 
 def test_verify_pair_holds_at_large_q(monkeypatch):

@@ -1,4 +1,4 @@
-"""Print two sha256 parity hashes of the package's outputs.
+"""Print three sha256 parity hashes of the package's outputs.
 
 A change meant to keep every output byte compares these hashes on the
 tree before it and on the tree after it.  Only the public API and the
@@ -8,6 +8,10 @@ tree before it and on the tree after it.  Only the public API and the
 
 hash 1: repr(verify_pair(rp).checks) and every intersection_points
 crossing (chord_a,chord_b,x.hex(),y.hex(),ring;) for each pair with q <= 60.
+
+records hash: the public records for each pair with q <= 60: every
+chord_list endpoint pair (from_vertex,to_vertex;), then every ring_radii
+normalized_radius.hex() (hex;), each list closed by "|".
 
 cli hash: repr((argv, exit code, stdout)) of `seq` (plain, csv, json),
 `radii`, `render --rings --labels` and `render --step q//2` for each pair
@@ -24,7 +28,13 @@ import os
 import tempfile
 from pathlib import Path
 
-from circle_billiards import coprime_rotations, intersection_points, verify_pair
+from circle_billiards import (
+    chord_list,
+    coprime_rotations,
+    intersection_points,
+    ring_radii,
+    verify_pair,
+)
 from circle_billiards.cli import main
 
 
@@ -35,6 +45,18 @@ def hash_1() -> str:
         for c in intersection_points(rp).intersections:
             x, y = c.point
             h.update(f"{c.chord_a},{c.chord_b},{x.hex()},{y.hex()},{c.ring};".encode())
+    return h.hexdigest()
+
+
+def records_hash() -> str:
+    h = hashlib.sha256()
+    for rp in coprime_rotations(60):
+        for ch in chord_list(rp):
+            h.update(f"{ch.from_vertex},{ch.to_vertex};".encode())
+        h.update(b"|")
+        for rr in ring_radii(rp):
+            h.update(f"{rr.normalized_radius.hex()};".encode())
+        h.update(b"|")
     return h.hexdigest()
 
 
@@ -72,5 +94,6 @@ def cli_hash() -> str:
 
 
 if __name__ == "__main__":
-    print(f"hash 1   {hash_1()}")
-    print(f"cli hash {cli_hash()}")
+    print(f"hash 1       {hash_1()}")
+    print(f"records hash {records_hash()}")
+    print(f"cli hash     {cli_hash()}")
