@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -49,7 +51,11 @@ def test_seq_plain_chunk_boundaries(capsys, monkeypatch, p, q):
     assert out == " ".join(map(str, values)) + "\n"
 
 
-_JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)]
+# Pairs just inside (2p = q // 8) and just outside (2p = q // 8 + 1) the
+# cutoff of cli._write_increments, and one inside it over 34 chunks.
+_TABLE_CASES = [(1, 16), (2, 33), (3, 49), (2, 101)]
+_PER_INT_CASES = [(1, 15), (2, 31), (3, 47)]
+_JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)] + _TABLE_CASES + _PER_INT_CASES
 
 
 @pytest.mark.parametrize(
@@ -57,8 +63,18 @@ _JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)]
 )
 def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
     # Both arrays are written three items at a time, over the same 4..10
-    # values as the plain case; 1/3, 2/5 and 3/7 take the special form.
+    # values as the plain case and over both sides of the increments'
+    # cutoff; 1/3, 2/5 and 3/7 take the special form.  The values always
+    # go through _write_chunked, the increments only on the per-int side.
     monkeypatch.setattr(cli, "_CHUNK", 3)
+    calls = []
+    write_chunked = cli._write_chunked
+
+    def counted(xs, sep):
+        calls.append(xs)
+        write_chunked(xs, sep)
+
+    monkeypatch.setattr(cli, "_write_chunked", counted)
     seq = formula.general_sequence(make_rotation(p, q))
     payload = {
         "p": p,
@@ -72,6 +88,7 @@ def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
     code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "json")
     assert code == 0
     assert out == json.dumps(payload) + "\n"
+    assert len(calls) == (1 if (p, q) in _TABLE_CASES else 2)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +312,25 @@ def test_scan_to_file(tmp_path, capsys):
     assert len(lines) == 1 + 4  # (1,3) (1,4) (1,5) (2,5)
 
 
+def test_scan_bytes_match_csv_writer(tmp_path, capsys):
+    # The table csv.writer writes with lineterminator "\n", on stdout and
+    # in a file read as bytes, so a change of line ending shows.
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["p", "q", "m", "r", "f_total", "sequence"])
+    for param in coprime_rotations(40):
+        values = formula.general_sequence(param).values
+        row = [param.p, param.q, param.m, param.r, values[-1], ";".join(map(str, values))]
+        writer.writerow(row)
+    want = ref.getvalue()
+    code, out, _ = run_cli(capsys, "scan", "--q-max", "40")
+    assert (code, out) == (0, want)
+    target = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "scan", "--q-max", "40", "-o", str(target))
+    assert code == 0
+    assert target.read_bytes() == want.encode("utf-8")
+
+
 def test_render_stdout_deterministic(capsys):
     _, first, _ = run_cli(capsys, "render", "-p", "3", "-q", "7", "--rings")
     _, second, _ = run_cli(capsys, "render", "-p", "3", "-q", "7", "--rings")
@@ -478,7 +514,7 @@ def test_cli_pins_and_verify_120():
 
     lines = (Path(__file__).parent / "cli_pins.txt").read_text(encoding="utf-8").splitlines()
     pins = [line.split(" ", 1) for line in lines]
-    assert len(pins) == 9
+    assert len(pins) == 10
     got = [[hashlib.sha256(run(args)).hexdigest(), args] for _, args in pins]
     assert got == pins
     out = run("verify --q-max 120").decode()
