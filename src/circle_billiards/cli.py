@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import formula
 from .core import ParameterError, RotationParameter, coprime_rotations, make_rotation
 from .formula import general_sequence, special_sequence
 from .geometry import ring_radii
@@ -60,61 +63,88 @@ def _colorize(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _sequence_for(param):
-    """The sequence with the name of the form that made it, for `seq --format json`."""
-    if param.q == 2 * param.p + 1:
-        return special_sequence(param.p), "SpecialClosedForm"
-    return general_sequence(param), "GeneralFormula"
-
-
 def _ints(xs: tuple[int, ...], sep: str) -> str:
     """sep.join(map(str, xs)) by one %-format, with no str per int; sep holds no "%"."""
-    return sep.join(["%d"] * len(xs)) % xs
+    return (("%d" + sep) * (len(xs) - 1) + "%d") % xs if xs else ""
 
 
-def _write_chunked(xs: tuple[int, ...], sep: str) -> None:
+def _chunks(xs: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """xs in tuples of _CHUNK items, the last one shorter."""
+    xs = iter(xs)
+    while chunk := tuple(itertools.islice(xs, _CHUNK)):
+        yield chunk
+
+
+def _write_chunked(xs: Iterable[int], sep: str) -> None:
     """Write xs in decimal, separated by sep, one slice of _CHUNK items at a time."""
-    for i in range(0, len(xs), _CHUNK):
-        sys.stdout.write(sep * (i > 0) + _ints(xs[i : i + _CHUNK], sep))
+    full = ("%d" + sep) * (_CHUNK - 1) + "%d"  # the format of every chunk but the last
+    lead = ""
+    for chunk in _chunks(xs):
+        sys.stdout.write(lead + (full % chunk if len(chunk) == _CHUNK else _ints(chunk, sep)))
+        lead = sep
 
 
-def _write_increments(xs: tuple[int, ...], p: int) -> None:
-    """The bytes of _write_chunked(xs, ", ") for increments, each below 2p.
+def _write_runs(counts: list[int]) -> None:
+    """The bytes of _write_chunked(steps, ", ") for the steps that counts expands to.
 
-    When 2p is small against q = len(xs), each of 0..2p - 1 is formatted
-    once and every chunk is joined from that table.  The table costs 2p
-    strs and one lookup per item, and near q = 10**6 it stops beating the
-    per-int format at about 2p = q/4 (2-core host, Python 3.11); the
-    cutoff q/8 keeps a margin below that crossover.
+    counts[d - 1] chords in a row add d, so a run is one str repetition, cut
+    where a chunk of _CHUNK items ends.  That costs about 1 us a run against
+    0.1 us an item for the per-int format (q near 10**6, 2-core host,
+    Python 3.11): the two are even at about q/8 runs, and seq takes this
+    writer up to there.
     """
-    if 2 * p > len(xs) // 8:
-        _write_chunked(xs, ", ")
-        return
-    text = list(map(str, range(2 * p)))
-    for i in range(0, len(xs), _CHUNK):
-        sys.stdout.write(", " * (i > 0) + ", ".join(map(text.__getitem__, xs[i : i + _CHUNK])))
+    pieces, room, cut = [], _CHUNK, 2  # cut: the ", " before the first item
+    for d, c in enumerate(counts, 1):
+        item = ", %d" % d
+        while c:
+            n = min(c, room)
+            pieces.append(item * n)
+            c -= n
+            room -= n
+            if not room:
+                sys.stdout.write("".join(pieces)[cut:])
+                pieces, room, cut = [], _CHUNK, 0
+    sys.stdout.write("".join(pieces)[cut:])
 
 
 def cmd_seq(args) -> int:
     param = make_rotation(args.p, args.q)
-    seq, source = _sequence_for(param)
+    if param.q == 2 * param.p + 1:
+        special = special_sequence(param.p)
+        source, values = "SpecialClosedForm", special.values
+        write_increments = lambda: _write_chunked(special.increments, ", ")
+    else:
+        # Checked in O(p) before the first byte; f_0..f_q are never held whole.
+        counts = formula._general_counts(param)
+        formula._check_counts(param, counts)
+        if len(counts) <= param.q // 8:
+            # The increments are written from the counts, so the steps are
+            # only summed and never listed: a 10**6-item list freed here
+            # stayed resident in the process after the command returned.
+            steps = itertools.chain.from_iterable(
+                map(itertools.repeat, itertools.count(1), counts)
+            )
+            write_increments = functools.partial(_write_runs, counts)
+        else:
+            steps = formula._expand(counts)
+            write_increments = functools.partial(_write_chunked, steps, ", ")
+        source, values = "GeneralFormula", itertools.accumulate(steps, initial=1)
     if args.format == "plain":
-        _write_chunked(seq.values, " ")
+        _write_chunked(values, " ")
         print()
     elif args.format == "csv":
         sys.stdout.write("n,f_n\n")
-        for i in range(0, len(seq.values), _CHUNK):
-            chunk = seq.values[i : i + _CHUNK]
-            rows = itertools.chain.from_iterable(zip(range(i, i + len(chunk)), chunk))
+        for n, chunk in zip(itertools.count(0, _CHUNK), _chunks(values)):
+            rows = itertools.chain.from_iterable(zip(range(n, n + len(chunk)), chunk))
             sys.stdout.write("%d,%d\n" * len(chunk) % tuple(rows))
     else:
         # The bytes of json.dumps(payload) + "\n" with keys p, q, m, r,
         # source, values, increments, written without the whole document.
         header = {"p": param.p, "q": param.q, "m": param.m, "r": param.r, "source": source}
         sys.stdout.write(json.dumps(header)[:-1] + ', "values": [')
-        _write_chunked(seq.values, ", ")
+        _write_chunked(values, ", ")
         sys.stdout.write('], "increments": [')
-        _write_increments(seq.increments, param.p)
+        write_increments()
         sys.stdout.write("]}\n")
     return 0
 

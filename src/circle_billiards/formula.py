@@ -32,14 +32,10 @@ class DivisionSequence:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p, q = self.param.p, self.param.q
-        if len(self.values) != q + 1:
-            raise ValueError(f"need q+1 values, got {len(self.values)}")
-        if self.values[0] != 1:
-            raise ValueError(f"f_0 must be 1, got {self.values[0]}")
-        if self.values[-1] != p * q + 1:
-            raise ValueError(f"f_q must be {p * q + 1}, got {self.values[-1]}")
-        top = 2 * p - 1
+        # An empty tuple fails the length check before its ends are read.
+        ends = self.values or (None,)
+        _check_ends(self.param, len(self.values), ends[0], ends[-1])
+        top = 2 * self.param.p - 1
         steps = self.increments
         if min(steps) < 1 or max(steps) > top:
             n, d = next((n, d) for n, d in enumerate(steps, 1) if not 1 <= d <= top)
@@ -64,6 +60,52 @@ class DivisionSequence:
         return seq
 
 
+def _check_ends(
+    param: RotationParameter, n_values: int, first: int | None, last: int | None
+) -> None:
+    """Raise unless n_values = q + 1, f_0 = first is 1 and f_q = last is p*q + 1.
+
+    The one wording of these invariants, for a DivisionSequence and for the
+    increment counts `billiard seq` writes from.
+    """
+    p, q = param.p, param.q
+    if n_values != q + 1:
+        raise ValueError(f"need q+1 values, got {n_values}")
+    if first != 1:
+        raise ValueError(f"f_0 must be 1, got {first}")
+    if last != p * q + 1:
+        raise ValueError(f"f_q must be {p * q + 1}, got {last}")
+
+
+def _check_counts(param: RotationParameter, counts: list[int]) -> None:
+    """DivisionSequence's invariants read from increment counts in O(p).
+
+    counts[d - 1] chords add d regions.  With 2p - 1 counts, none negative,
+    every step lies in 1..2p - 1 by construction; the counts then fix the
+    length and f_q of the sequence they expand to, which starts at f_0 = 1.
+    """
+    top = 2 * param.p - 1
+    if len(counts) != top:
+        raise ValueError(f"need {top} increment counts, got {len(counts)}")
+    if min(counts) < 0:
+        d = next(d for d, c in enumerate(counts, 1) if c < 0)
+        raise ValueError(f"count {counts[d - 1]} of increment {d} is negative")
+    total = 1 + sum(map(operator.mul, range(1, top + 1), counts))
+    _check_ends(param, 1 + sum(counts), 1, total)
+
+
+def _expand(counts: list[int]) -> list[int]:
+    """The steps counts stand for: counts[d - 1] copies of d, for d = 1, 2, ..."""
+    steps = []
+    for d, c in enumerate(counts, 1):
+        # Near p = q/2 most runs hold one chord: appending skips a list each.
+        if c == 1:
+            steps.append(d)
+        else:
+            steps += [d] * c
+    return steps
+
+
 def total_regions(param: RotationParameter) -> int:
     """Regions after the full orbit: p*q + 1."""
     return param.p * param.q + 1
@@ -81,19 +123,29 @@ def euler_counts(param: RotationParameter) -> tuple[int, int, int]:
     return v, e, 1 + e - v
 
 
-def _general_increments(param: RotationParameter) -> list[int]:
+def _general_counts(param: RotationParameter) -> list[int]:
+    """counts[d - 1]: how many chords add d regions, for d = 1..2p - 1.
+
+    The plateau schedule of ``general_sequence``: round k holds a plateau
+    of 2k - 1 and then the single chord 2k that completes it.  The
+    increments never decrease, so these counts fix the whole sequence.
+    """
     p, m, r = param.p, param.m, param.r
     if p == 1:
         # Convex polygon: chords never cross, each adds one region.
-        return [1] * param.q
-    steps = [1] * m
-    steps.append(2)
+        return [param.q]
+    counts = [m]
+    done = 0  # floor((k - 1) * r / p): 0 for k = 2, since r < p
     for k in range(2, p):
-        plateau = m - 1 + (k * r) // p - ((k - 1) * r) // p
-        steps.extend([2 * k - 1] * plateau)
-        steps.append(2 * k)
-    steps.extend([2 * p - 1] * (m - 1 + r - ((p - 1) * r) // p))
-    return steps
+        now = k * r // p
+        counts += (1, m - 1 + now - done)
+        done = now
+    counts += (1, m - 1 + r - done)
+    return counts
+
+
+def _general_increments(param: RotationParameter) -> list[int]:
+    return _expand(_general_counts(param))
 
 
 def general_sequence(param: RotationParameter) -> DivisionSequence:

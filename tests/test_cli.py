@@ -51,11 +51,14 @@ def test_seq_plain_chunk_boundaries(capsys, monkeypatch, p, q):
     assert out == " ".join(map(str, values)) + "\n"
 
 
-# Pairs just inside (2p = q // 8) and just outside (2p = q // 8 + 1) the
-# cutoff of cli._write_increments, and one inside it over 34 chunks.
-_TABLE_CASES = [(1, 16), (2, 33), (3, 49), (2, 101)]
-_PER_INT_CASES = [(1, 15), (2, 31), (3, 47)]
-_JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)] + _TABLE_CASES + _PER_INT_CASES
+# Pairs on (2p - 1 = q // 8), one inside (2p = q // 8) and just outside
+# (2p - 1 = q // 8 + 1) the cutoff between cli._write_runs and the per-int
+# format of the increments.  On the runs side, 1/16 and 2/101 hold runs of
+# 16 and 50 over six and more chunks, 2/25 two runs of 12 with a run of
+# one between them.
+_RUNS_CASES = [(1, 15), (2, 31), (3, 47), (1, 16), (2, 33), (3, 49), (2, 25), (2, 101)]
+_PER_INT_CASES = [(1, 7), (2, 23), (3, 38)]
+_JSON_CHUNK_CASES = _CHUNK_CASES + [(3, 7)] + _RUNS_CASES + _PER_INT_CASES
 
 
 @pytest.mark.parametrize(
@@ -65,16 +68,29 @@ def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
     # Both arrays are written three items at a time, over the same 4..10
     # values as the plain case and over both sides of the increments'
     # cutoff; 1/3, 2/5 and 3/7 take the special form.  The values always
-    # go through _write_chunked, the increments only on the per-int side.
+    # go through _write_chunked, the increments through _write_runs on the
+    # runs side and through _write_chunked otherwise.  No write of either
+    # array carries more than one chunk, also where a run spans several.
     monkeypatch.setattr(cli, "_CHUNK", 3)
-    calls = []
-    write_chunked = cli._write_chunked
+    writes, calls = [], []
+    stdout = sys.stdout
 
-    def counted(xs, sep):
-        calls.append(xs)
-        write_chunked(xs, sep)
+    class Recorded:
+        def write(self, text):
+            writes.append(text)
+            return stdout.write(text)
 
-    monkeypatch.setattr(cli, "_write_chunked", counted)
+        def flush(self):
+            stdout.flush()
+
+    monkeypatch.setattr(sys, "stdout", Recorded())
+    for name in ("_write_chunked", "_write_runs"):
+
+        def recorded(*args, name=name, write=getattr(cli, name)):
+            calls.append(name)
+            write(*args)
+
+        monkeypatch.setattr(cli, name, recorded)
     seq = formula.general_sequence(make_rotation(p, q))
     payload = {
         "p": p,
@@ -88,7 +104,9 @@ def test_seq_json_chunk_boundaries(capsys, monkeypatch, p, q):
     code, out, _ = run_cli(capsys, "seq", "-p", str(p), "-q", str(q), "--format", "json")
     assert code == 0
     assert out == json.dumps(payload) + "\n"
-    assert len(calls) == (1 if (p, q) in _TABLE_CASES else 2)
+    increments = "_write_runs" if (p, q) in _RUNS_CASES else "_write_chunked"
+    assert calls == ["_write_chunked", increments]
+    assert max(len(re.findall(r"\d+", text)) for text in writes if '"' not in text) <= 3
 
 
 @pytest.mark.parametrize(
@@ -397,16 +415,18 @@ def test_render_bad_step(capsys):
 
 
 def _break_last_general_step(monkeypatch):
-    # A generator off by one at the last step breaks DivisionSequence's
-    # f_q invariant: a program fault, which must not exit 2 as bad input.
-    true = formula._general_increments
+    # A schedule with one chord moved from increment 1 to increment 2 breaks
+    # DivisionSequence's f_q invariant: a program fault, which must not
+    # exit 2 as bad input.
+    true = formula._general_counts
 
-    def last_step_plus_one(param):
-        steps = true(param)
-        steps[-1] += 1
-        return steps
+    def one_chord_up(param):
+        counts = true(param)
+        counts[0] -= 1
+        counts[1] += 1
+        return counts
 
-    monkeypatch.setattr(formula, "_general_increments", last_step_plus_one)
+    monkeypatch.setattr(formula, "_general_counts", one_chord_up)
 
 
 def test_broken_invariant_is_not_a_usage_error(monkeypatch):
@@ -497,6 +517,26 @@ def test_seq_into_closed_pipe_exits_quietly():
     assert (code, err) == (1, b"")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_seq_streams_near_max_q():
+    # f_0..f_q are written as they are made, never held whole: a fresh
+    # process peaked at 77 MiB while the whole sequence was built first.
+    # The child reports VmHWM, the peak of its own address space; its
+    # ru_maxrss would carry the peak of this test process across exec.
+    code = (
+        "import contextlib, os; from circle_billiards.cli import main\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+        "    assert main('seq -p 3901 -q 999480 --format json'.split()) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 48  # kB in /proc
+
+
 def test_cli_pins_and_verify_120():
     # Fresh processes, as a user runs them: the sha256 of each pinned
     # output near MAX_Q (tests/cli_pins.txt: sha256, then argv), and the
@@ -514,7 +554,7 @@ def test_cli_pins_and_verify_120():
 
     lines = (Path(__file__).parent / "cli_pins.txt").read_text(encoding="utf-8").splitlines()
     pins = [line.split(" ", 1) for line in lines]
-    assert len(pins) == 10
+    assert len(pins) == 13
     got = [[hashlib.sha256(run(args)).hexdigest(), args] for _, args in pins]
     assert got == pins
     out = run("verify --q-max 120").decode()

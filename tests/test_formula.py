@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
+from circle_billiards import formula
 from circle_billiards.formula import (
     DivisionSequence,
     euler_counts,
@@ -59,6 +62,35 @@ def test_general_sequence_3_14():
 def test_general_matches_oracle_small_scan():
     for rp in coprime_rotations(25):
         assert general_sequence(rp) == oracle_sequence(rp), (rp.p, rp.q)
+
+
+def test_oracle_increments_follow_the_counts():
+    # The premise of formula._general_counts, read from the crossing
+    # counter: the increments never decrease, so their histogram fixes them.
+    for rp in coprime_rotations(60):
+        steps = oracle_sequence(rp).increments
+        assert all(a <= b for a, b in zip(steps, steps[1:])), (rp.p, rp.q)
+        histogram = Counter(steps)
+        assert [histogram[d] for d in range(1, 2 * rp.p)] == formula._general_counts(rp)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([4, 1, 3, 1], r"need 5 increment counts, got 4"),
+        ([4, 1, 3, 1, 4, 0], r"need 5 increment counts, got 6"),
+        ([5, -1, 4, 1, 4], r"count -1 of increment 2 is negative"),
+        ([4, 1, 3, 1, 5], r"need q\+1 values, got 15"),
+        ([3, 2, 3, 1, 4], r"f_q must be 40, got 41"),
+    ],
+    ids=["short", "long", "negative", "length", "f_q"],
+)
+def test_counts_invariants_enforced(counts, message):
+    rp = make_rotation(3, 13)
+    assert formula._general_counts(rp) == [4, 1, 3, 1, 4]
+    formula._check_counts(rp, [4, 1, 3, 1, 4])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formula._check_counts(rp, counts)
 
 
 def test_special_sequence_p3():
