@@ -90,7 +90,7 @@ def _check_counts(param: RotationParameter, counts: list[int]) -> None:
     if min(counts) < 0:
         d = next(d for d, c in enumerate(counts, 1) if c < 0)
         raise ValueError(f"count {counts[d - 1]} of increment {d} is negative")
-    total = 1 + sum(map(operator.mul, range(1, top + 1), counts))
+    total = 1 + sum(map(operator.mul, itertools.count(1), counts))
     _check_ends(param, 1 + sum(counts), 1, total)
 
 
@@ -126,26 +126,19 @@ def euler_counts(param: RotationParameter) -> tuple[int, int, int]:
 def _general_counts(param: RotationParameter) -> list[int]:
     """counts[d - 1]: how many chords add d regions, for d = 1..2p - 1.
 
-    The plateau schedule of ``general_sequence``: round k holds a plateau
-    of 2k - 1 and then the single chord 2k that completes it.  The
-    increments never decrease, so these counts fix the whole sequence.
+    The plateau schedule of ``general_sequence`` as one round loop: round 1
+    holds m chords of +1, and each round k = 2..p opens with the one chord
+    +(2k - 2) that closes round k - 1, then holds its plateau of +(2k - 1).
+    The increments never decrease, so these counts fix the whole sequence.
     """
     p, m, r = param.p, param.m, param.r
-    if p == 1:
-        # Convex polygon: chords never cross, each adds one region.
-        return [param.q]
     counts = [m]
     done = 0  # floor((k - 1) * r / p): 0 for k = 2, since r < p
-    for k in range(2, p):
+    for k in range(2, p + 1):
         now = k * r // p
         counts += (1, m - 1 + now - done)
         done = now
-    counts += (1, m - 1 + r - done)
     return counts
-
-
-def _general_increments(param: RotationParameter) -> list[int]:
-    return _expand(_general_counts(param))
 
 
 def general_sequence(param: RotationParameter) -> DivisionSequence:
@@ -154,14 +147,15 @@ def general_sequence(param: RotationParameter) -> DivisionSequence:
     A chord drawn between the (k-1)-th and k-th pass of the start vertex
     crosses 2k - 2 earlier chords and therefore adds 2k - 1 regions; the
     chord completing the k-th pass crosses one more and adds 2k.  The
-    plateau lengths follow from q = m*p + r: round k holds
-    m - 1 + floor(k*r/p) - floor((k-1)*r/p) constant-increment chords.
-    The closing chord ends exactly on the start vertex instead of crossing
-    a further chord, so the last round keeps the odd increment 2p - 1
-    throughout and holds m - 1 + r - floor((p-1)*r/p) chords.
+    plateau lengths follow from q = m*p + r: round 1 holds m chords and
+    round k = 2..p holds m - 1 + floor(k*r/p) - floor((k-1)*r/p).  The
+    closing chord ends exactly on the start vertex instead of crossing a
+    further chord, so no chord +2p completes round p, and the last round is
+    the loop's k = p term, holding m - 1 + r - floor((p-1)*r/p) chords since
+    floor(p*r/p) = r.  For p = 1 (a convex polygon) the loop is empty and
+    all q chords add one region.
     """
-    steps = _general_increments(param)
-    return DivisionSequence.from_increments(param, steps)
+    return DivisionSequence.from_increments(param, _expand(_general_counts(param)))
 
 
 def special_sequence(p: int) -> DivisionSequence:
@@ -183,16 +177,14 @@ def special_sequence(p: int) -> DivisionSequence:
 def r1_sequence(param: RotationParameter) -> DivisionSequence:
     """Simplified schedule for r = 1, where every floor correction vanishes.
 
-    Increments are +1 x m, +2, then for k = 2..p-1 a plateau of
-    +(2k-1) x (m-1) followed by +2k, then +(2p-1) x m.  Output is identical
-    to general_sequence on the same parameter.
+    The round loop of general_sequence at r = 1, written out as counts:
+    +1 x m, then for k = 2..p the one chord +(2k-2) and a plateau of
+    +(2k-1) x (m - 1 + floor(k/p) - floor((k-1)/p)), which is m - 1 for
+    k < p and m at k = p.  Output is identical to general_sequence on the
+    same parameter.
     """
     if param.r != 1:
         raise ParameterError(f"r = 1 required, got r = {param.r} for {param.p}/{param.q}")
     p, m = param.p, param.m
-    steps = [1] * m + [2]
-    for k in range(2, p):
-        steps.extend([2 * k - 1] * (m - 1))
-        steps.append(2 * k)
-    steps.extend([2 * p - 1] * m)
-    return DivisionSequence.from_increments(param, steps)
+    counts = [m, 1] + [m - 1, 1] * (p - 2) + [m]
+    return DivisionSequence.from_increments(param, _expand(counts))

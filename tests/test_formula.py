@@ -80,15 +80,18 @@ def test_oracle_increments_follow_the_counts():
         ([4, 1, 3, 1], r"need 5 increment counts, got 4"),
         ([4, 1, 3, 1, 4, 0], r"need 5 increment counts, got 6"),
         ([5, -1, 4, 1, 4], r"count -1 of increment 2 is negative"),
+        ([5, 0, -1, 5, 4], r"count -1 of increment 3 is negative"),
         ([4, 1, 3, 1, 5], r"need q\+1 values, got 15"),
         ([3, 2, 3, 1, 4], r"f_q must be 40, got 41"),
     ],
-    ids=["short", "long", "negative", "length", "f_q"],
+    ids=["short", "long", "negative", "negative_after_zero", "length", "f_q"],
 )
 def test_counts_invariants_enforced(counts, message):
     rp = make_rotation(3, 13)
     assert formula._general_counts(rp) == [4, 1, 3, 1, 4]
     formula._check_counts(rp, [4, 1, 3, 1, 4])
+    # A zero count is a valid schedule: no chord adds 2 regions.
+    formula._check_counts(rp, [5, 0, 2, 2, 4])
     with pytest.raises(ValueError, match=f"^{message}$"):
         formula._check_counts(rp, counts)
 

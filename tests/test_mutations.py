@@ -133,13 +133,15 @@ def _move_offset_pair_far(true, param):
 
 
 def _move_plateau_boundary(true, param):
-    # The first change of increment moved one chord earlier.
-    steps = true(param)
-    for n in range(len(steps) - 1):
-        if steps[n] != steps[n + 1]:
-            steps[n], steps[n + 1] = steps[n + 1], steps[n]
-            break
-    return steps
+    # One chord of plateau 1 and one of plateau 3 moved onto plateau 2: q
+    # and f_q stay, and chord m adds 2 where it added 1.  At p = 1 there is
+    # no plateau 2.
+    counts = true(param)
+    if len(counts) > 1:
+        counts[0] -= 1
+        counts[1] += 2
+        counts[2] -= 1
+    return counts
 
 
 def _change_value(true, *args):
@@ -181,7 +183,7 @@ MUTATIONS = {
     "add_offset": ((geometry, oracle), "crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "crossing_offsets", _move_offset_pair),
     "move_offset_pair_far": ((geometry, oracle), "crossing_offsets", _move_offset_pair_far),
-    "move_plateau_boundary": ((formula,), "_general_increments", _move_plateau_boundary),
+    "move_plateau_boundary": ((formula,), "_general_counts", _move_plateau_boundary),
     "change_special_value": ((oracle,), "special_sequence", _change_value),
     "change_r1_value": ((oracle,), "r1_sequence", _change_value),
     "spare_chord_one_locator": ((geometry,), "_line_intersection", _spare_chord_one),
