@@ -77,7 +77,11 @@ def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
 
 
 def _chord_ends(param: RotationParameter) -> list[tuple[int, int]]:
-    """(p*(n-1) mod q, p*n mod q) for n = 1..q: the one owner of the walk."""
+    """(p*(n-1) mod q, p*n mod q) for n = 1..q: the one owner of the walk.
+
+    chord_list, crossing_offsets, the vertex-tie locator of _crossings and
+    the census all read it, so a wrong walk reaches every counter.
+    """
     p, q = param.p, param.q
     walk = [p * n % q for n in range(q + 1)]
     return list(zip(walk, walk[1:]))
@@ -112,12 +116,16 @@ def crossing_offsets(param: RotationParameter) -> list[int]:
 
     Chords n and n + k are chords 1 and 1 + k rotated by p*(n-1) vertex
     steps, so they cross exactly when k is listed here (indices mod q).
-    Chord 1 + k runs from vertex p*k to p*(k+1) (mod q), and the test is
-    the endpoint interleaving of chords_cross on those vertex numbers.
-    Each chord crosses 2(p-1) others, and the list is closed under k -> q-k.
+    Chord 1 + k is entry k of _chord_ends, the walk the census reads too,
+    and the test is the endpoint interleaving of chords_cross on those
+    vertex numbers; entry 0, chord 1 itself, shares its vertices and is
+    never listed.  Each chord crosses 2(p-1) others, and the list is
+    closed under k -> q-k.
     """
-    p, q = param.p, param.q
-    return [k for k in range(1, q) if _interleaved(0, p, p * k % q, p * (k + 1) % q, q)]
+    q = param.q
+    ends = _chord_ends(param)
+    a0, a1 = ends[0]
+    return [k for k, (b0, b1) in enumerate(ends) if _interleaved(a0, a1, b0, b1, q)]
 
 
 def _radii(param: RotationParameter) -> list[float]:
@@ -154,11 +162,11 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     anything else.  Then the vertices are tied bit for bit to the table
     _directions(q) they are read from.  One comparison with its even slots decides a tied
     figure; only an untied one runs the loop that locates the failure.  It
-    visits vertex p*n (mod q), which ends chord n and starts chord n + 1,
-    for n = 0..q-1, and raises with chord_a n (1 when n = 0) at the first
-    vertex off direction 2*(p*n mod q): the first chord in step order
-    through any untied vertex.  An error in the table itself shows only at
-    the places, which rest on _radii's own formula.  Crossing pairs
+    walks the chord ends of _chord_ends and visits the start j of chord
+    n + 1, which ends chord n, for n = 0..q-1, raising with chord_a n (1
+    when n = 0) at the first vertex j off direction 2j: the first chord in
+    step order through any untied vertex.  An error in the table itself
+    shows only at the places, which rest on _radii's own formula.  Crossing pairs
     (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
     offsets k (as crossing_offsets gives them), ordered by i and then k,
     over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two
@@ -183,8 +191,7 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     unit = _directions(q)
     verts = vertex_positions(param)
     if verts != list(unit[::2]):
-        for n in range(q):
-            j = p * n % q
+        for n, (j, _) in enumerate(_chord_ends(param)):
             if verts[j] != unit[2 * j]:
                 raise RingAssignmentError(
                     f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1

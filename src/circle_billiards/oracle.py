@@ -10,11 +10,13 @@ and x crossings the census has v = t + x and e = t + n + 2x, so its faces
 census_vs_general therefore fails exactly where general_vs_oracle does; the
 census adds its own evidence only through v and e, which only the
 full_orbit_census check reads.  Both count crossings from
-geometry.crossing_offsets, which is purely combinatorial; no floating point
-is involved.  verify_pair also runs the float ring check; _ring_check says
-why chord 1's crossings stand for the full orbit and what that loses.
-verify_pair computes the offsets once and hands them to all three, and its
-every stage is O(q); the public counters compute their own offsets.
+geometry.crossing_offsets, which is purely combinatorial and reads the walk
+of geometry._chord_ends; no floating point is involved.  verify_pair also
+runs the float ring check; _ring_check says why chord 1's crossings stand
+for the full orbit and what that loses.  verify_pair computes the offsets
+once and hands them to the ring check, and their crossing counts once, as
+the one list that the oracle and the census share; its every stage is
+O(q), and the public counters compute their own offsets and counts.
 verify_pair reads plain values only: the census reads the chord ends as
 tuples from geometry._chord_ends, the ring check reads the radii as floats
 from geometry._radii, and each passing CheckResult is one shared record per
@@ -70,12 +72,11 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     outside it, and through a point outside a circle pass exactly two
     tangents.
     """
-    return _oracle_sequence(param, crossing_offsets(param))
+    return _oracle_sequence(param, _crossing_counts(param.q, crossing_offsets(param)))
 
 
-def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
-    increments = map((1).__add__, _crossing_counts(param.q, offsets))
-    return DivisionSequence.from_increments(param, increments)
+def _oracle_sequence(param: RotationParameter, counts: list[int]) -> DivisionSequence:
+    return DivisionSequence.from_increments(param, map((1).__add__, counts))
 
 
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
@@ -88,21 +89,20 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
     is (0, 0, 1) by convention.
     """
-    return [ArrangementCensus(*c) for c in _census_prefixes(param, crossing_offsets(param))]
+    counts = _crossing_counts(param.q, crossing_offsets(param))
+    return [ArrangementCensus(*c) for c in _census_prefixes(param, counts)]
 
 
-def _census_prefixes(
-    param: RotationParameter, offsets: list[int]
-) -> list[tuple[int, int, int]]:
-    """census_prefixes as (vertices, edges, faces) tuples, from the given offsets.
+def _census_prefixes(param: RotationParameter, counts: list[int]) -> list[tuple[int, int, int]]:
+    """census_prefixes as (vertices, edges, faces) tuples, from the given crossing counts.
 
     The touched vertices come from the chord ends of geometry._chord_ends,
     the (from, to) tuples that chord_list wraps; the crossings come from
-    the offsets.
+    the counts of _crossing_counts.
     """
     touched = set()
     out = [(0, 0, 1)]
-    crossings = itertools.accumulate(_crossing_counts(param.q, offsets))
+    crossings = itertools.accumulate(counts)
     for n, (ends, x) in enumerate(zip(_chord_ends(param), crossings), start=1):
         touched.update(ends)
         t = len(touched)
@@ -117,7 +117,8 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
         raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
-    return ArrangementCensus(*_census_prefixes(param, crossing_offsets(param))[upto_chord])
+    counts = _crossing_counts(param.q, crossing_offsets(param))
+    return ArrangementCensus(*_census_prefixes(param, counts)[upto_chord])
 
 
 @dataclass(frozen=True)
@@ -204,19 +205,21 @@ def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    The crossing offsets are computed once and serve the oracle count, the
-    census and the ring check.  Failures become report entries rather than
-    exceptions so exhaustive scans can aggregate them.
+    The crossing offsets are computed once and serve the ring check, and
+    their crossing counts once and serve the oracle count and the census.
+    Failures become report entries rather than exceptions so exhaustive
+    scans can aggregate them.
     """
     offsets = crossing_offsets(param)
+    counts = _crossing_counts(param.q, offsets)
     try:
         general = general_sequence(param)
-        oracle = _oracle_sequence(param, offsets)
+        oracle = _oracle_sequence(param, counts)
     except ValueError:
         return VerificationReport(
             param, (CheckResult("sequence_construction", False),)
         )
-    census = _census_prefixes(param, offsets)
+    census = _census_prefixes(param, counts)
     checks = [
         _compare("general_vs_oracle", general.values, oracle.values),
         _compare("census_vs_general", tuple(map(operator.itemgetter(2), census)), general.values),

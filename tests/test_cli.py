@@ -292,13 +292,6 @@ def test_usage_error_is_one_stderr_line(tmp_path, monkeypatch, capsys, argv, mes
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_jobs_deterministic():
-    serial = run_verification(30, jobs=1)
-    threaded = run_verification(30, jobs=4)
-    assert serial.pairs_checked == threaded.pairs_checked
-    assert serial.failures == threaded.failures == ()
-
-
 def test_scan_stdout(capsys):
     code, out, _ = run_cli(capsys, "scan", "--q-max", "7")
     assert code == 0

@@ -6,8 +6,12 @@ with their first_divergence, in report order; "raises" names an exception
 that escaped verify_pair instead.  An empty entry means no check caught the
 mutation there.  Those gaps are findings, not cases to drop:
 
-- swap_chords: the census counts only which boundary vertices are touched,
-  and its faces do not depend on them, so reordering chords is invisible;
+- swap_chords_2_3 off 2/5, 3/7 and 5/13, and swap_chords at p = 1: the
+  offsets test each chord of the walk against chord 1 only, and the census
+  counts only which boundary vertices are touched, so a walk that keeps
+  chord 1's crossings and the touched set passes.  Chords 2 and 3 share
+  vertex p with chord 1 or lie off its arc when 3p < q, and at p = 1 chord
+  1 crosses nothing;
 - the p = 1 rows of swap_rings, the offset mutations other than
   add_offset, and move_plateau_boundary, where the mutation changes
   nothing (one ring, no offset, no plateau boundary);
@@ -100,6 +104,13 @@ def _swap_chords(true, param):
     return chords
 
 
+def _swap_chords_2_3(true, param):
+    # Chords 2 and 3 exchanged in traversal order.
+    chords = true(param)
+    chords[1], chords[2] = chords[2], chords[1]
+    return chords
+
+
 def _drop_offset(true, param):
     # The smallest crossing offset left out.
     return true(param)[1:]
@@ -164,11 +175,10 @@ def _spare_chord_one(true, normal_a, normal_b, d):
 
 
 # name -> (modules whose binding is replaced, function name, mutant).  The
-# census reads its chord ends from oracle._chord_ends, and chord_list wraps
-# geometry._chord_ends; crossing_offsets derives its own, so within
-# verify_pair the chord mutations reach the census alone.  The ring
-# mutations replace geometry._radii, the floats that ring_radii wraps and
-# the ring check reads.
+# census reads its chord ends from oracle._chord_ends; chord_list,
+# crossing_offsets and the vertex-tie locator read geometry._chord_ends.
+# The ring mutations replace geometry._radii, the floats that ring_radii
+# wraps and the ring check reads.
 MUTATIONS = {
     "rotate_vertices": ((geometry,), "vertex_positions", _rotate),
     "move_vertex": ((geometry,), "vertex_positions", _move),
@@ -179,6 +189,7 @@ MUTATIONS = {
     "swap_rings": ((geometry,), "_radii", _swap_rings),
     "pinch_chord": ((geometry, oracle), "_chord_ends", _pinch),
     "swap_chords": ((geometry, oracle), "_chord_ends", _swap_chords),
+    "swap_chords_2_3": ((geometry, oracle), "_chord_ends", _swap_chords_2_3),
     "drop_offset": ((geometry, oracle), "crossing_offsets", _drop_offset),
     "add_offset": ((geometry, oracle), "crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "crossing_offsets", _move_offset_pair),
@@ -246,8 +257,22 @@ EXPECTED = {
     "move_direction_1": _beyond_p1(("rings", 1)),
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
-    "pinch_chord": _everywhere(("full_orbit_census", None)),
-    "swap_chords": _everywhere(),
+    # Where 3p > q, chord 3 crosses chord 1 and the pinch moves its start
+    # onto vertex 0, so the offsets lose one; elsewhere only the full-orbit
+    # totals see it.
+    "pinch_chord": {
+        **_everywhere(("full_orbit_census", None)),
+        "2/5": (("sequence_construction", None),),
+        "3/7": (("sequence_construction", None),),
+        "5/13": (("sequence_construction", None),),
+    },
+    "swap_chords": _beyond_p1(("sequence_construction", None)),
+    "swap_chords_2_3": {
+        **_everywhere(),
+        "2/5": (("sequence_construction", None),),
+        "3/7": (("sequence_construction", None),),
+        "5/13": (("sequence_construction", None),),
+    },
     "drop_offset": _beyond_p1(("sequence_construction", None)),
     "add_offset": _everywhere(("sequence_construction", None)),
     "move_offset_pair": _beyond_p1(

@@ -131,18 +131,26 @@ def test_verify_pair_scan_all_green():
 
 
 def test_verify_pair_computes_offsets_once(monkeypatch):
+    # The offsets, and the crossing counts that the oracle and the census
+    # share, are each computed once per pair.
     calls = []
     true_offsets = geometry.crossing_offsets
+    true_counts = oracle._crossing_counts
 
     def counted(param):
-        calls.append(param)
+        calls.append("offsets")
         return true_offsets(param)
+
+    def counted_counts(q, offsets):
+        calls.append("counts")
+        return true_counts(q, offsets)
 
     monkeypatch.setattr(geometry, "crossing_offsets", counted)
     monkeypatch.setattr(oracle, "crossing_offsets", counted)
+    monkeypatch.setattr(oracle, "_crossing_counts", counted_counts)
     report = verify_pair(make_rotation(3, 13))
     assert report.ok, report.failures()
-    assert len(calls) == 1
+    assert calls == ["offsets", "counts"]
 
 
 @pytest.mark.parametrize(
@@ -165,10 +173,11 @@ def test_form_that_raises_fails_its_check(monkeypatch, capsys, form, check):
     assert f"FAIL p=3 q=7 check={check}" in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("pq", [(2, 5), (3, 13), (3, 14)])
+@pytest.mark.parametrize("pq", [(2, 9), (3, 13), (3, 14)])
 def test_full_orbit_census_fails_on_pinched_chord(monkeypatch, pq):
     # Faces do not depend on the touched count, so only the full-orbit
-    # vertex and edge totals can catch it.
+    # vertex and edge totals can catch it.  With 3p < q chord 3 does not
+    # cross chord 1, so the crossing offsets do not move either.
     rp = make_rotation(*pq)
     # Vertex 2p (mod q) moved onto vertex 0: chord 2 ends, and chord 3
     # starts, on an already-touched vertex, so the full orbit touches q - 1.
