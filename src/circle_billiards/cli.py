@@ -23,8 +23,8 @@ from .render import RenderSpec, render_step_series, render_svg
 
 # Each pair is O(q) (the ring check locates chord 1's crossings and takes
 # the rest from the rotational symmetry), so a scan grows about as q_max**3:
-# `verify --q-max 500` took 54 s (one run) on a 2-core host with Python
-# 3.11.  Beyond this an explicit --force is required.
+# `verify --q-max 500` took 22-25 s (three runs) on a shared 2-core host
+# with Python 3.11.7.  Beyond this an explicit --force is required.
 VERIFY_Q_CAP = 500
 
 _CHUNK = 1 << 16  # values per write of every `seq` format: the output is never whole

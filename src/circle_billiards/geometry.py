@@ -175,10 +175,11 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     and the lines read the same table: chord n + 1 is the line at distance
     cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and i + 1 + k
     read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose ring
-    p - |s| is negative (off the radius table) gets a NaN place.  A point
-    further than min(RING_TOLERANCE, half the gap to each adjacent ring)
-    from its place raises RingAssignmentError.  A caller that only counts
-    keeps no crossing.
+    p - |s| is negative (off the radius table) gets a NaN place.  The row
+    loop works out each place where it locates the crossing, so no table of
+    places is kept.  A point further than min(RING_TOLERANCE, half the gap
+    to each adjacent ring) from its place raises RingAssignmentError.  A
+    caller that only counts keeps no crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
@@ -199,22 +200,18 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     d = unit[p][0]
     half_gaps = [math.inf, *map((0.5).__mul__, map(operator.sub, radii, radii[1:])), math.inf]
     tolerance = list(map(functools.partial(min, RING_TOLERANCE), half_gaps, half_gaps[1:]))
-    places = []
-    for k in offsets:
-        s = p * k % q
-        if 2 * s > q:
-            s -= q
-        ring = p - abs(s)
-        r, tol = (radii[ring], tolerance[ring]) if ring >= 0 else (math.nan, math.nan)
-        places.append((k, s, ring, r, tol))
-    locate = _line_intersection
     for i in range(rows):
         slot = p * (2 * i + 1)
         normal = unit[slot % (2 * q)]
-        for k, s, ring, r, tol in places:
+        for k in offsets:
             if i + k >= q:
                 break
-            pt = locate(normal, unit[(slot + 2 * s) % (2 * q)], d)
+            s = p * k % q
+            if 2 * s > q:
+                s -= q
+            ring = p - abs(s)
+            r, tol = (radii[ring], tolerance[ring]) if ring >= 0 else (math.nan, math.nan)
+            pt = _line_intersection(normal, unit[(slot + 2 * s) % (2 * q)], d)
             ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
             if not miss <= tol:  # a NaN fails too

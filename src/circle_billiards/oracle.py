@@ -3,20 +3,21 @@
 Two accountings: an incremental count (each chord adds one region per
 earlier chord it crosses, plus one) and a vertex/edge/face census of the
 induced planar subdivision, which census_prefixes takes at every prefix and
-arrangement_census reads one prefix from.  They are not independent: both
-read _crossing_counts, and with n chords drawn, t boundary vertices touched
+arrangement_census reads one prefix from.  They are not independent: the
+census reads the oracle's increments (chord n crosses its increment - 1
+earlier chords), and with n chords drawn, t boundary vertices touched
 and x crossings the census has v = t + x and e = t + n + 2x, so its faces
 1 + e - v = 1 + n + x are the incremental f_n for every input (t cancels).
 census_vs_general therefore fails exactly where general_vs_oracle does; the
 census adds its own evidence only through v and e, which only the
-full_orbit_census check reads.  Both count crossings from
+full_orbit_census check reads.  The oracle counts crossings from
 geometry.crossing_offsets, which is purely combinatorial and reads the walk
 of geometry._chord_ends; no floating point is involved.  verify_pair also
 runs the float ring check; _ring_check says why chord 1's crossings stand
 for the full orbit and what that loses.  verify_pair computes the offsets
-once and hands them to the ring check, and their crossing counts once, as
-the one list that the oracle and the census share; its every stage is
-O(q), and the public counters compute their own offsets and counts.
+once and hands them to the oracle and the ring check, and the census reads
+the oracle record's increments; its every stage is O(q), and the public
+counters compute their own offsets and oracle record.
 verify_pair reads plain values only: the census reads the chord ends as
 tuples from geometry._chord_ends, the ring check reads the radii as floats
 from geometry._radii, and each passing CheckResult is one shared record per
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from .core import ParameterError, RotationParameter, _require_ints
 from .formula import (
     DivisionSequence,
+    _expand,
     euler_counts,
     general_sequence,
     r1_sequence,
@@ -51,18 +53,6 @@ class ArrangementCensus:
     faces_count: int
 
 
-def _crossing_counts(q: int, offsets: list[int]) -> list[int]:
-    """counts[n-1] = number of chords among 1..n-1 crossed by chord n.
-
-    Chord n crosses chord n - k exactly when k is a crossing offset, so the
-    count is the number of offsets below n: a prefix sum of their indicator.
-    """
-    hit = [0] * q
-    for k in offsets:
-        hit[k] = 1
-    return list(itertools.accumulate(hit))
-
-
 def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     """f_n by direct counting: each chord adds 1 + (earlier chords it crosses).
 
@@ -72,11 +62,21 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     outside it, and through a point outside a circle pass exactly two
     tangents.
     """
-    return _oracle_sequence(param, _crossing_counts(param.q, crossing_offsets(param)))
+    return _oracle_sequence(param, crossing_offsets(param))
 
 
-def _oracle_sequence(param: RotationParameter, counts: list[int]) -> DivisionSequence:
-    return DivisionSequence.from_increments(param, map((1).__add__, counts))
+def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
+    """oracle_sequence from the given ascending crossing offsets.
+
+    Chord n crosses chord n - k exactly when k is an offset, so it crosses
+    as many earlier chords as there are offsets below n: the chords between
+    two consecutive offsets of [0, *offsets, q] form one plateau, and the
+    gaps are the increment counts that formula._expand turns into steps.
+    An unsorted list gives a negative gap, whose run _expand drops, so the
+    record fails its length check.
+    """
+    bounds = [0, *offsets, param.q]
+    return DivisionSequence.from_increments(param, _expand(map(operator.sub, bounds[1:], bounds)))
 
 
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
@@ -89,20 +89,21 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
     is (0, 0, 1) by convention.
     """
-    counts = _crossing_counts(param.q, crossing_offsets(param))
-    return [ArrangementCensus(*c) for c in _census_prefixes(param, counts)]
+    increments = oracle_sequence(param).increments
+    return [ArrangementCensus(*c) for c in _census_prefixes(param, increments)]
 
 
-def _census_prefixes(param: RotationParameter, counts: list[int]) -> list[tuple[int, int, int]]:
-    """census_prefixes as (vertices, edges, faces) tuples, from the given crossing counts.
+def _census_prefixes(param: RotationParameter, increments) -> list[tuple[int, int, int]]:
+    """census_prefixes as (vertices, edges, faces) tuples, from the oracle's increments.
 
     The touched vertices come from the chord ends of geometry._chord_ends,
-    the (from, to) tuples that chord_list wraps; the crossings come from
-    the counts of _crossing_counts.
+    the (from, to) tuples that chord_list wraps; chord n crosses its
+    increment - 1 earlier chords, so the crossings are the running sums of
+    the increments less one.
     """
     touched = set()
     out = [(0, 0, 1)]
-    crossings = itertools.accumulate(counts)
+    crossings = itertools.accumulate(map((-1).__add__, increments))
     for n, (ends, x) in enumerate(zip(_chord_ends(param), crossings), start=1):
         touched.update(ends)
         t = len(touched)
@@ -117,8 +118,8 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
         raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
-    counts = _crossing_counts(param.q, crossing_offsets(param))
-    return ArrangementCensus(*_census_prefixes(param, counts)[upto_chord])
+    increments = oracle_sequence(param).increments
+    return ArrangementCensus(*_census_prefixes(param, increments)[upto_chord])
 
 
 @dataclass(frozen=True)
@@ -205,21 +206,20 @@ def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    The crossing offsets are computed once and serve the ring check, and
-    their crossing counts once and serve the oracle count and the census.
-    Failures become report entries rather than exceptions so exhaustive
-    scans can aggregate them.
+    The crossing offsets are computed once and serve the oracle count and
+    the ring check; the census reads the oracle record's increments, so no
+    table of crossing counts sits between them.  Failures become report
+    entries rather than exceptions so exhaustive scans can aggregate them.
     """
     offsets = crossing_offsets(param)
-    counts = _crossing_counts(param.q, offsets)
     try:
         general = general_sequence(param)
-        oracle = _oracle_sequence(param, counts)
+        oracle = _oracle_sequence(param, offsets)
     except ValueError:
         return VerificationReport(
             param, (CheckResult("sequence_construction", False),)
         )
-    census = _census_prefixes(param, counts)
+    census = _census_prefixes(param, oracle.increments)
     checks = [
         _compare("general_vs_oracle", general.values, oracle.values),
         _compare("census_vs_general", tuple(map(operator.itemgetter(2), census)), general.values),

@@ -530,6 +530,30 @@ def test_seq_streams_near_max_q():
     assert int(proc.stdout) / 1024 < 48  # kB in /proc
 
 
+# The three lines tools/parity.py prints.  A change meant to keep every
+# output byte keeps them; hash 1 covers every intersection_points
+# coordinate with q <= 60 as float.hex.
+PARITY = [
+    "hash 1       883519ad177cf070e36473657e368598b3e938ea1576245aaf405d02bdde5b08",
+    "records hash 45b83f8baed38698afa50e157758e9ee882d6c650c8ccec662b934dc6606a1e3",
+    "cli hash     39ea32d338b15419237558f8524b97c722b052180d12786876b7b93e97256e34",
+]
+
+
+def test_parity_hashes():
+    # A fresh process, as tools/parity.py is run on any tree.
+    script = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == PARITY
+
+
 def test_cli_pins_and_verify_120():
     # Fresh processes, as a user runs them: the sha256 of each pinned
     # output near MAX_Q (tests/cli_pins.txt: sha256, then argv), and the

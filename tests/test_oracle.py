@@ -131,26 +131,35 @@ def test_verify_pair_scan_all_green():
 
 
 def test_verify_pair_computes_offsets_once(monkeypatch):
-    # The offsets, and the crossing counts that the oracle and the census
-    # share, are each computed once per pair.
+    # The offsets are computed once per pair, and the census reads the
+    # increments of the very record that the oracle built from them.
     calls = []
+    records = []
     true_offsets = geometry.crossing_offsets
-    true_counts = oracle._crossing_counts
+    true_oracle = oracle._oracle_sequence
+    true_census = oracle._census_prefixes
 
     def counted(param):
         calls.append("offsets")
         return true_offsets(param)
 
-    def counted_counts(q, offsets):
-        calls.append("counts")
-        return true_counts(q, offsets)
+    def kept_oracle(param, offsets):
+        records.append(true_oracle(param, offsets))
+        return records[-1]
+
+    def seen_census(param, increments):
+        assert increments is records[-1].increments
+        calls.append("census")
+        return true_census(param, increments)
 
     monkeypatch.setattr(geometry, "crossing_offsets", counted)
     monkeypatch.setattr(oracle, "crossing_offsets", counted)
-    monkeypatch.setattr(oracle, "_crossing_counts", counted_counts)
+    monkeypatch.setattr(oracle, "_oracle_sequence", kept_oracle)
+    monkeypatch.setattr(oracle, "_census_prefixes", seen_census)
     report = verify_pair(make_rotation(3, 13))
     assert report.ok, report.failures()
-    assert calls == ["offsets", "counts"]
+    assert calls == ["offsets", "census"]
+    assert len(records) == 1
 
 
 @pytest.mark.parametrize(
