@@ -79,8 +79,9 @@ def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
 def _chord_ends(param: RotationParameter) -> list[tuple[int, int]]:
     """(p*(n-1) mod q, p*n mod q) for n = 1..q: the one owner of the walk.
 
-    chord_list, crossing_offsets, the vertex-tie locator of _crossings and
-    the census all read it, so a wrong walk reaches every counter.
+    chord_list, the crossing offsets, the vertex-tie locator of _crossings,
+    the census and verify_pair's walk check all read it, so a wrong walk
+    reaches every counter.
     """
     p, q = param.p, param.q
     walk = [p * n % q for n in range(q + 1)]
@@ -92,13 +93,22 @@ def chord_list(param: RotationParameter) -> list[Chord]:
     return [Chord(a, b) for a, b in _chord_ends(param)]
 
 
-def _interleaved(a0: int, a1: int, b0: int, b1: int, q: int) -> bool:
-    # Exactly one of b0, b1 on the open arc swept from a0 to a1; a shared
-    # vertex is a meeting on the boundary, not a crossing.
-    if a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
-        return False
+def _crossing_offsets(q: int, ends: list[tuple[int, int]]) -> list[int]:
+    """Ascending indices k of the chords ends[k] that cross chord ends[0].
+
+    The one owner of the interleaving predicate, tested on every chord in
+    one comprehension: exactly one end of chord k lies on the open arc swept
+    from a0 to a1.  A shared vertex is a meeting on the boundary, not a
+    crossing, so entry 0 itself is never listed.
+    """
+    a0, a1 = ends[0]
     span = (a1 - a0) % q
-    return ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
+    return [
+        k
+        for k, (b0, b1) in enumerate(ends)
+        if b0 != a0 and b0 != a1 and b1 != a0 and b1 != a1
+        and ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
+    ]
 
 
 def chords_cross(a: Chord, b: Chord, q: int) -> bool:
@@ -108,7 +118,8 @@ def chords_cross(a: Chord, b: Chord, q: int) -> bool:
     one endpoint of b lies on the open arc swept from a.from_vertex to
     a.to_vertex.  Chords sharing a vertex only meet on the boundary.
     """
-    return _interleaved(a.from_vertex, a.to_vertex, b.from_vertex, b.to_vertex, q)
+    ends = [(a.from_vertex, a.to_vertex), (b.from_vertex, b.to_vertex)]
+    return bool(_crossing_offsets(q, ends))
 
 
 def crossing_offsets(param: RotationParameter) -> list[int]:
@@ -116,16 +127,12 @@ def crossing_offsets(param: RotationParameter) -> list[int]:
 
     Chords n and n + k are chords 1 and 1 + k rotated by p*(n-1) vertex
     steps, so they cross exactly when k is listed here (indices mod q).
-    Chord 1 + k is entry k of _chord_ends, the walk the census reads too,
-    and the test is the endpoint interleaving of chords_cross on those
-    vertex numbers; entry 0, chord 1 itself, shares its vertices and is
-    never listed.  Each chord crosses 2(p-1) others, and the list is
-    closed under k -> q-k.
+    Chord 1 + k is entry k of _chord_ends, the walk verify_pair checks, and
+    _crossing_offsets tests those vertex numbers; entry 0, chord 1 itself,
+    shares its vertices and is never listed.  Each chord crosses 2(p-1)
+    others, and the list is closed under k -> q-k.
     """
-    q = param.q
-    ends = _chord_ends(param)
-    a0, a1 = ends[0]
-    return [k for k, (b0, b1) in enumerate(ends) if _interleaved(a0, a1, b0, b1, q)]
+    return _crossing_offsets(param.q, _chord_ends(param))
 
 
 def _radii(param: RotationParameter) -> list[float]:

@@ -8,17 +8,24 @@ census reads the oracle's increments (chord n crosses its increment - 1
 earlier chords), and with n chords drawn, t boundary vertices touched
 and x crossings the census has v = t + x and e = t + n + 2x, so its faces
 1 + e - v = 1 + n + x are the incremental f_n for every input (t cancels).
-census_vs_general therefore fails exactly where general_vs_oracle does; the
-census adds its own evidence only through v and e, which only the
-full_orbit_census check reads.  The oracle counts crossings from
-geometry.crossing_offsets, which is purely combinatorial and reads the walk
-of geometry._chord_ends; no floating point is involved.  verify_pair also
-runs the float ring check; _ring_check says why chord 1's crossings stand
-for the full orbit and what that loses.  verify_pair computes the offsets
-once and hands them to the oracle and the ring check, and the census reads
-the oracle record's increments; its every stage is O(q), and the public
-counters compute their own offsets and oracle record.
-verify_pair reads plain values only: the census reads the chord ends as
+The oracle counts crossings from the crossing offsets, which are purely
+combinatorial and read the walk of geometry._chord_ends; no floating
+point is involved.
+
+verify_pair reads that walk once and hands the one list to the
+crossing-offset test and to an integer check of the walk itself (_off_walk),
+so a walk that keeps chord 1's crossings still fails.  On the checked walk
+t_n = n + 1 for n < q and t_q = q, so verify_pair's census
+(_faces_census) keeps no set and no tuple per prefix: its faces are the
+oracle record's values, and the full-orbit (v, e) follow from x_q.
+census_vs_general therefore fails where general_vs_oracle does; the
+census adds its own evidence through the walk and the full-orbit (v, e),
+which the full_orbit_census check reads, reporting the first chord off the
+walk as its first_divergence.  verify_pair also runs the float ring check;
+_ring_check says why chord 1's crossings stand for the full orbit and what
+that loses.  Every stage of verify_pair is O(q), and the public counters
+read their own walk, offsets and oracle record.
+verify_pair reads plain values only: the walk check reads the chord ends as
 tuples from geometry._chord_ends, the ring check reads the radii as floats
 from geometry._radii, and each passing CheckResult is one shared record per
 check name.  The public records, Chord and RingRadius, are built only by
@@ -41,7 +48,13 @@ from .formula import (
     r1_sequence,
     special_sequence,
 )
-from .geometry import RingAssignmentError, _chord_ends, _crossings, crossing_offsets
+from .geometry import (
+    RingAssignmentError,
+    _chord_ends,
+    _crossing_offsets,
+    _crossings,
+    crossing_offsets,
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,46 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
         raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
     increments = oracle_sequence(param).increments
     return ArrangementCensus(*_census_prefixes(param, increments)[upto_chord])
+
+
+def _off_walk(param: RotationParameter, ends: list[tuple[int, int]]) -> int | None:
+    """None if the chord ends are the walk, else the first chord n off it.
+
+    The walk in integers, checked with list operations only: chord 1 starts
+    at vertex 0, chord n ends where chord n + 1 starts, and each of the q
+    chords spans p, (b - a) mod q = p.  With gcd(p, q) = 1 these give chord
+    n = (p(n-1), pn) mod q, so the walk closes at vertex 0 and its q starts
+    are distinct.  Only a failure runs the loop, which finds the first
+    chord whose start is not the previous end (0 for chord 1) or whose span
+    is not p; that is the first chord whose ends differ from the walk's.
+    """
+    p, q = param.p, param.q
+    starts, stops = zip(*ends)
+    if (
+        starts[0] == 0
+        and starts[1:] == stops[:-1]
+        and [*map(q.__rmod__, map(operator.sub, stops, starts))] == [p] * q
+    ):
+        return None
+    prev = 0
+    for n, (a, b) in enumerate(ends[:q], start=1):
+        if a != prev or (b - a) % q != p:
+            return n
+        prev = b
+    return min(len(ends), q) + 1  # every chord on the walk, but not q of them
+
+
+def _faces_census(param: RotationParameter, values) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """census_prefixes' faces and full-orbit (vertices, edges) on a checked walk.
+
+    The faces 1 + n + x_n are the oracle record's values, read as they are.
+    On the walk of _off_walk the full orbit touches all t_q = q vertices,
+    and its x_q = f_q - 1 - q crossings give v = q + x_q and
+    e = 2q + 2x_q, so no set and no tuple per prefix is built.
+    """
+    q = param.q
+    x = values[-1] - 1 - q
+    return values, (q + x, 2 * q + 2 * x)
 
 
 @dataclass(frozen=True)
@@ -206,12 +259,16 @@ def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    The crossing offsets are computed once and serve the oracle count and
-    the ring check; the census reads the oracle record's increments, so no
-    table of crossing counts sits between them.  Failures become report
-    entries rather than exceptions so exhaustive scans can aggregate them.
+    The walk of _chord_ends is read once: the crossing offsets are tested
+    on it and serve the oracle count and the ring check, and _off_walk
+    checks it in integers.  The census reads the oracle record's values as
+    its faces and builds no set and no tuple per prefix; full_orbit_census
+    fails at the first chord off the walk, or on the full-orbit totals.
+    Failures become report entries rather than exceptions so exhaustive
+    scans can aggregate them.
     """
-    offsets = crossing_offsets(param)
+    ends = _chord_ends(param)
+    offsets = _crossing_offsets(param.q, ends)
     try:
         general = general_sequence(param)
         oracle = _oracle_sequence(param, offsets)
@@ -219,11 +276,14 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
         return VerificationReport(
             param, (CheckResult("sequence_construction", False),)
         )
-    census = _census_prefixes(param, oracle.increments)
+    faces, (v, e) = _faces_census(param, oracle.values)
+    off = _off_walk(param, ends)
     checks = [
         _compare("general_vs_oracle", general.values, oracle.values),
-        _compare("census_vs_general", tuple(map(operator.itemgetter(2), census)), general.values),
-        _result("full_orbit_census", census[-1] == euler_counts(param)),
+        _compare("census_vs_general", faces, general.values),
+        CheckResult("full_orbit_census", False, off)
+        if off is not None
+        else _result("full_orbit_census", (v, e, faces[-1]) == euler_counts(param)),
     ]
 
     if param.q == 2 * param.p + 1:

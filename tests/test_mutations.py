@@ -6,12 +6,6 @@ with their first_divergence, in report order; "raises" names an exception
 that escaped verify_pair instead.  An empty entry means no check caught the
 mutation there.  Those gaps are findings, not cases to drop:
 
-- swap_chords_2_3 off 2/5, 3/7 and 5/13, and swap_chords at p = 1: the
-  offsets test each chord of the walk against chord 1 only, and the census
-  counts only which boundary vertices are touched, so a walk that keeps
-  chord 1's crossings and the touched set passes.  Chords 2 and 3 share
-  vertex p with chord 1 or lie off its arc when 3p < q, and at p = 1 chord
-  1 crosses nothing;
 - the p = 1 rows of swap_rings, the offset mutations other than
   add_offset, and move_plateau_boundary, where the mutation changes
   nothing (one ring, no offset, no plateau boundary);
@@ -111,35 +105,35 @@ def _swap_chords_2_3(true, param):
     return chords
 
 
-def _drop_offset(true, param):
+def _drop_offset(true, q, ends):
     # The smallest crossing offset left out.
-    return true(param)[1:]
+    return true(q, ends)[1:]
 
 
-def _add_offset(true, param):
+def _add_offset(true, q, ends):
     # Offset 1 added: chords n and n + 1 share a vertex and never cross.
-    return sorted({1, *true(param)})
+    return sorted({1, *true(q, ends)})
 
 
-def _move_offset_pair(true, param):
+def _move_offset_pair(true, q, ends):
     # The pair k, q - k of the smallest offset replaced by 1, q - 1: the
     # crossing total, and so f_q, stays, but every ring count moves.
-    offsets = true(param)
+    offsets = true(q, ends)
     if not offsets:
         return offsets
-    k, q = offsets[0], param.q
+    k = offsets[0]
     return sorted({1, q - 1, *offsets} - {k, q - k})
 
 
-def _move_offset_pair_far(true, param):
+def _move_offset_pair_far(true, q, ends):
     # As _move_offset_pair, but onto the pair k, q - k with |s| = q // 2
     # (s = p*k mod q taken in (-q/2, q/2)): its ring p - |s| is 0 or
-    # negative, off the rings that carry crossings.
-    offsets = true(param)
+    # negative, off the rings that carry crossings.  Chord 1 ends at p.
+    offsets = true(q, ends)
     if not offsets:
         return offsets
-    k, q = offsets[0], param.q
-    far = q // 2 * pow(param.p, -1, q) % q
+    k, p = offsets[0], ends[0][1]
+    far = q // 2 * pow(p, -1, q) % q
     return sorted({far, q - far, *offsets} - {k, q - k})
 
 
@@ -174,9 +168,11 @@ def _spare_chord_one(true, normal_a, normal_b, d):
     return (x, y) if normal_a[0] == d else (x + 1e-6, y)
 
 
-# name -> (modules whose binding is replaced, function name, mutant).  The
-# census reads its chord ends from oracle._chord_ends; chord_list,
-# crossing_offsets and the vertex-tie locator read geometry._chord_ends.
+# name -> (modules whose binding is replaced, function name, mutant).
+# verify_pair and the public census read their chord ends from
+# oracle._chord_ends, and verify_pair tests them with
+# oracle._crossing_offsets; chord_list, crossing_offsets and the vertex-tie
+# locator read the geometry bindings.
 # The ring mutations replace geometry._radii, the floats that ring_radii
 # wraps and the ring check reads.
 MUTATIONS = {
@@ -190,10 +186,10 @@ MUTATIONS = {
     "pinch_chord": ((geometry, oracle), "_chord_ends", _pinch),
     "swap_chords": ((geometry, oracle), "_chord_ends", _swap_chords),
     "swap_chords_2_3": ((geometry, oracle), "_chord_ends", _swap_chords_2_3),
-    "drop_offset": ((geometry, oracle), "crossing_offsets", _drop_offset),
-    "add_offset": ((geometry, oracle), "crossing_offsets", _add_offset),
-    "move_offset_pair": ((geometry, oracle), "crossing_offsets", _move_offset_pair),
-    "move_offset_pair_far": ((geometry, oracle), "crossing_offsets", _move_offset_pair_far),
+    "drop_offset": ((geometry, oracle), "_crossing_offsets", _drop_offset),
+    "add_offset": ((geometry, oracle), "_crossing_offsets", _add_offset),
+    "move_offset_pair": ((geometry, oracle), "_crossing_offsets", _move_offset_pair),
+    "move_offset_pair_far": ((geometry, oracle), "_crossing_offsets", _move_offset_pair_far),
     "move_plateau_boundary": ((formula,), "_general_counts", _move_plateau_boundary),
     "change_special_value": ((oracle,), "special_sequence", _change_value),
     "change_r1_value": ((oracle,), "r1_sequence", _change_value),
@@ -258,17 +254,25 @@ EXPECTED = {
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
     # Where 3p > q, chord 3 crosses chord 1 and the pinch moves its start
-    # onto vertex 0, so the offsets lose one; elsewhere only the full-orbit
-    # totals see it.
+    # onto vertex 0, so the offsets lose one; elsewhere the walk check names
+    # chord 2, which now ends on vertex 0 and so does not span p.
     "pinch_chord": {
-        **_everywhere(("full_orbit_census", None)),
+        **_everywhere(("full_orbit_census", 2)),
         "2/5": (("sequence_construction", None),),
         "3/7": (("sequence_construction", None),),
         "5/13": (("sequence_construction", None),),
     },
-    "swap_chords": _beyond_p1(("sequence_construction", None)),
+    # At p = 1 chord 1 crosses nothing, so only the walk check sees that
+    # chord 1 no longer starts at vertex 0.
+    "swap_chords": {
+        **_beyond_p1(("sequence_construction", None)),
+        "1/3": (("full_orbit_census", 1),),
+        "1/5": (("full_orbit_census", 1),),
+    },
+    # Where 3p < q the swap keeps chord 1's crossings and the touched set;
+    # chord 2 then starts at 2p, not at p where chord 1 ends.
     "swap_chords_2_3": {
-        **_everywhere(),
+        **_everywhere(("full_orbit_census", 2)),
         "2/5": (("sequence_construction", None),),
         "3/7": (("sequence_construction", None),),
         "5/13": (("sequence_construction", None),),

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from circle_billiards.oracle import (
     oracle_sequence,
     verify_pair,
 )
-from test_mutations import apply_mutation
+from test_mutations import PAIRS, apply_mutation
 
 
 def test_oracle_sequence_examples():
@@ -131,35 +132,110 @@ def test_verify_pair_scan_all_green():
 
 
 def test_verify_pair_computes_offsets_once(monkeypatch):
-    # The offsets are computed once per pair, and the census reads the
-    # increments of the very record that the oracle built from them.
+    # Each passing pair reads the walk once and tests it for crossings once,
+    # and the oracle and the ring check get that very offsets list.  The
+    # per-prefix census, with its set and its tuples, is never built.
     calls = []
-    records = []
-    true_offsets = geometry.crossing_offsets
+    computed = []
+    true_ends = geometry._chord_ends
+    true_offsets = geometry._crossing_offsets
     true_oracle = oracle._oracle_sequence
-    true_census = oracle._census_prefixes
+    true_rings = oracle._ring_check
 
-    def counted(param):
+    def counted_ends(param):
+        calls.append("walk")
+        return true_ends(param)
+
+    def counted_offsets(q, ends):
         calls.append("offsets")
-        return true_offsets(param)
+        computed.append(true_offsets(q, ends))
+        return computed[-1]
 
-    def kept_oracle(param, offsets):
-        records.append(true_oracle(param, offsets))
-        return records[-1]
+    def seen_oracle(param, offsets):
+        assert offsets is computed[-1]
+        return true_oracle(param, offsets)
 
-    def seen_census(param, increments):
-        assert increments is records[-1].increments
-        calls.append("census")
-        return true_census(param, increments)
+    def seen_rings(param, offsets):
+        assert offsets is computed[-1]
+        return true_rings(param, offsets)
 
-    monkeypatch.setattr(geometry, "crossing_offsets", counted)
-    monkeypatch.setattr(oracle, "crossing_offsets", counted)
-    monkeypatch.setattr(oracle, "_oracle_sequence", kept_oracle)
-    monkeypatch.setattr(oracle, "_census_prefixes", seen_census)
-    report = verify_pair(make_rotation(3, 13))
-    assert report.ok, report.failures()
-    assert calls == ["offsets", "census"]
-    assert len(records) == 1
+    def refuse(*args):
+        raise AssertionError("verify_pair built the per-prefix census")
+
+    for module in (geometry, oracle):
+        monkeypatch.setattr(module, "_chord_ends", counted_ends)
+        monkeypatch.setattr(module, "_crossing_offsets", counted_offsets)
+    monkeypatch.setattr(oracle, "_oracle_sequence", seen_oracle)
+    monkeypatch.setattr(oracle, "_ring_check", seen_rings)
+    monkeypatch.setattr(oracle, "_census_prefixes", refuse)
+    for pq in [(1, 5), (2, 5), (3, 13), (3, 14)]:
+        calls.clear()
+        report = verify_pair(make_rotation(*pq))
+        assert report.ok, report.failures()
+        assert calls == ["walk", "offsets"], pq
+
+
+def test_faces_census_matches_the_public_census():
+    # On every pair with q <= 60 the walk check passes, and the census that
+    # verify_pair reads has census_prefixes' faces and full-orbit (v, e).
+    for rp in coprime_rotations(60):
+        assert oracle._off_walk(rp, geometry._chord_ends(rp)) is None, (rp.p, rp.q)
+        faces, full = oracle._faces_census(rp, oracle_sequence(rp).values)
+        public = census_prefixes(rp)
+        assert list(faces) == [c.faces_count for c in public], (rp.p, rp.q)
+        assert full == (public[-1].vertices_count, public[-1].edges_count), (rp.p, rp.q)
+
+
+def _first_chord_off_walk(rp, ends):
+    # Reference: the first chord n whose ends differ from (p(n - 1), pn) mod q.
+    p, q = rp.p, rp.q
+    return next(n for n in range(1, q + 1) if tuple(ends[n - 1]) != (p * (n - 1) % q, p * n % q))
+
+
+def _assert_walk_located(rp):
+    # The walk check names the reference chord, and so does verify_pair's
+    # full_orbit_census wherever the crossing offsets still give a sequence.
+    ends = oracle._chord_ends(rp)
+    expected = _first_chord_off_walk(rp, ends)
+    assert oracle._off_walk(rp, ends) == expected, (rp.p, rp.q)
+    failures = verify_pair(rp).failures()
+    if [c.name for c in failures] != ["sequence_construction"]:
+        (census,) = [c for c in failures if c.name == "full_orbit_census"]
+        assert census.first_divergence == expected, (rp.p, rp.q)
+
+
+@pytest.mark.parametrize("mutation", ["pinch_chord", "swap_chords", "swap_chords_2_3"])
+def test_walk_check_names_first_chord_off_the_walk(monkeypatch, mutation):
+    apply_mutation(monkeypatch, mutation)
+    for pq in PAIRS:
+        _assert_walk_located(make_rotation(*pq))
+
+
+def test_walk_check_names_the_chord_past_a_short_or_long_walk():
+    # Every chord listed is on the walk, but there are not q of them: the
+    # first chord off the walk is the one missing, or the one too many.
+    for pq in PAIRS:
+        rp = make_rotation(*pq)
+        ends = geometry._chord_ends(rp)
+        assert oracle._off_walk(rp, ends[:-1]) == rp.q
+        assert oracle._off_walk(rp, ends + ends[:1]) == rp.q + 1
+
+
+def test_walk_check_names_first_of_two_swapped_chords(monkeypatch):
+    # Three random swaps of two chords for every pair with q <= 30.
+    rng = random.Random(30)
+    true_ends = geometry._chord_ends
+    for rp in coprime_rotations(30):
+        for _ in range(3):
+            i, j = rng.sample(range(rp.q), 2)
+
+            def swapped(param, i=i, j=j):
+                ends = true_ends(param)
+                ends[i], ends[j] = ends[j], ends[i]
+                return ends
+
+            monkeypatch.setattr(oracle, "_chord_ends", swapped)
+            _assert_walk_located(rp)
 
 
 @pytest.mark.parametrize(
