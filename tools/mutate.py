@@ -7,20 +7,24 @@ Each mutant changes one operator or one integer constant in one module:
 - % -> //;
 - an integer constant + 1.
 
-A mutant first runs `billiard verify --q-max 40`; it is killed if that exits
-non-zero or times out.  Only a mutant that survives it runs Tier-1 with -x.
-Every run works in one temporary copy of the repository, with only the
-mutated file rewritten, so the tree it is run from is never touched.  The
-result is written as JSON: one record per mutant with its module, line,
-column, the text it replaced and the stage that killed it ("verify",
-"tier1", or null for a survivor).
+A mutant first runs `billiard verify --q-max 40`; only a mutant that passes
+it runs Tier-1 with -x.  Every run works in one temporary copy of the
+repository, with only the mutated file rewritten, so the tree it is run from
+is never touched.  Before any mutant, the unmutated copy runs both stages,
+and the sweep stops with an error if either does not pass: a copy that
+cannot pass would report every mutant as killed.
 
-    python3 tools/mutate.py oracle geometry --out mutants.json
+The result is written to stdout as JSON: one record per mutant with its
+module, line, column, the text it replaced and what killed it: "verify" or
+"tier1" when that stage exits non-zero; "timeout" when a stage runs past its
+limit; "memory" when a stage raises MemoryError under the 2 GiB address-space
+limit each child runs with; null for a survivor.  Progress goes to stderr.
+
+    python3 tools/mutate.py oracle geometry > mutants.json
 
 With no module named, core, formula, oracle and geometry are swept.  It
 uses the standard library only, and runs one child process at a time.
 """
-
 import argparse
 import ast
 import io
@@ -38,6 +42,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "circle_billiards"
 MODULES = ("core", "formula", "oracle", "geometry")
+VERIFY_TIMEOUT = 60  # seconds; the unmutated verify --q-max 40 takes under 1
+TIER1_TIMEOUT = 600  # seconds; the unmutated Tier-1 takes about 30
+MEMORY_LIMIT = 2 << 30  # bytes of address space per child
+
+STAGES = (
+    ("verify", [sys.executable, "-m", "circle_billiards", "verify", "--q-max", "40"], VERIFY_TIMEOUT),
+    ("tier1", [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"], TIER1_TIMEOUT),
+)
 
 # Operator token -> its replacement, for every kind the sweep applies.
 SWAPS = {
@@ -110,12 +122,16 @@ def mutants(source: str):
 
 def _limit_memory():
     # A mutant that allocates without bound fails in its own process.
-    limit = 2 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def _passes(argv, cwd, timeout) -> bool:
-    """True iff the command exits 0 within timeout; its process group is killed on timeout."""
+def _run(argv, cwd, timeout) -> str | None:
+    """None if the command exits 0 within timeout, else "fail", "timeout" or "memory".
+
+    On timeout the command's process group is killed.  "memory" is a
+    non-zero exit whose output names MemoryError, which the address-space
+    limit raises.
+    """
     # No .pyc is written: one of two same-size mutants written within one
     # second could otherwise run from the other's cached bytecode.
     env = dict(os.environ, PYTHONPATH="src", BILLIARD_COLOR="0", PYTHONDONTWRITEBYTECODE="1")
@@ -123,23 +139,33 @@ def _passes(argv, cwd, timeout) -> bool:
         argv,
         cwd=cwd,
         env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
         start_new_session=True,
         preexec_fn=_limit_memory,
     )
     try:
-        return proc.wait(timeout=timeout) == 0
+        output, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        return False
+        proc.communicate()
+        return "timeout"
+    if proc.returncode == 0:
+        return None
+    return "memory" if b"MemoryError" in output else "fail"
 
 
-def sweep(modules, verify_timeout, tier1_timeout, log):
+def _killed_by(cwd) -> str | None:
+    """What kills the copy at cwd: the first stage that fails, "timeout", "memory" or None."""
+    for stage, argv, timeout in STAGES:
+        outcome = _run(argv, cwd, timeout)
+        if outcome is not None:
+            return stage if outcome == "fail" else outcome
+    return None
+
+
+def sweep(modules, log):
     """Run every mutant of the named modules; return one record per mutant."""
-    verify = [sys.executable, "-m", "circle_billiards", "verify", "--q-max", "40"]
-    tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     ignore = shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_runs"
     )
@@ -147,24 +173,22 @@ def sweep(modules, verify_timeout, tier1_timeout, log):
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=ignore)
+        clean = _killed_by(copy)
+        if clean is not None:
+            sys.exit(f"mutate.py: the unmutated copy does not pass ({clean}); no mutant was run")
         for module in modules:
             path = copy / PACKAGE / f"{module}.py"
             source = path.read_text(encoding="utf-8")
             try:
                 for line, col, old, new, mutated in mutants(source):
                     path.write_text(mutated, encoding="utf-8")
-                    killed_by = None
-                    if not _passes(verify, copy, verify_timeout):
-                        killed_by = "verify"
-                    elif not _passes(tier1, copy, tier1_timeout):
-                        killed_by = "tier1"
                     record = {
                         "module": module,
                         "line": line,
                         "col": col,
                         "old": old,
                         "new": new,
-                        "killed_by": killed_by,
+                        "killed_by": _killed_by(copy),
                     }
                     records.append(record)
                     print(json.dumps(record), file=log, flush=True)
@@ -176,27 +200,19 @@ def sweep(modules, verify_timeout, tier1_timeout, log):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", help=f"any of {', '.join(MODULES)} (default: all)")
-    parser.add_argument("--out", default="-", help="JSON result file; - for stdout")
-    parser.add_argument("--verify-timeout", type=float, default=60.0)
-    parser.add_argument("--tier1-timeout", type=float, default=600.0)
     args = parser.parse_args(argv)
     unknown = set(args.modules) - set(MODULES)
     if unknown:
         parser.error(f"unknown module(s): {', '.join(sorted(unknown))}")
-    records = sweep(args.modules or MODULES, args.verify_timeout, args.tier1_timeout, sys.stderr)
+    records = sweep(args.modules or MODULES, sys.stderr)
     summary = {}
     for r in records:
-        counts = summary.setdefault(
-            r["module"], {"mutants": 0, "survive_verify": 0, "survive_tier1": 0}
-        )
+        counts = summary.setdefault(r["module"], {"mutants": 0})
         counts["mutants"] += 1
-        counts["survive_verify"] += r["killed_by"] != "verify"
-        counts["survive_tier1"] += r["killed_by"] is None
-    text = json.dumps({"summary": summary, "mutants": records}, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        key = r["killed_by"] or "survived"
+        counts[key] = counts.get(key, 0) + 1
+    json.dump({"summary": summary, "mutants": records}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
     return 0
 
 
