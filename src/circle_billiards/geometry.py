@@ -76,36 +76,38 @@ def vertex_positions(param: RotationParameter) -> list[tuple[float, float]]:
     return list(_directions(param.q)[::2])
 
 
-def _chord_ends(param: RotationParameter) -> list[tuple[int, int]]:
-    """(p*(n-1) mod q, p*n mod q) for n = 1..q: the one owner of the walk.
+def _walk(param: RotationParameter) -> list[int]:
+    """The q + 1 vertices p*n mod q, n = 0..q, in visiting order: the walk's one owner.
 
-    chord_list, the crossing offsets, the vertex-tie locator of _crossings,
-    the census and verify_pair's walk check all read it, so a wrong walk
-    reaches every counter.
+    Chord n runs from entry n - 1 to entry n, so each chord starts where the
+    one before it ends.  chord_list, the crossing offsets, the vertex-tie
+    locator of _crossings, the census and verify_pair's walk check all read
+    it, so a wrong walk reaches every counter.
     """
     p, q = param.p, param.q
-    walk = [p * n % q for n in range(q + 1)]
-    return list(zip(walk, walk[1:]))
+    return [p * n % q for n in range(q + 1)]
 
 
 def chord_list(param: RotationParameter) -> list[Chord]:
     """The q chords in traversal order: chord n runs from vertex p*(n-1) to p*n (mod q)."""
-    return [Chord(a, b) for a, b in _chord_ends(param)]
+    walk = _walk(param)
+    return list(map(Chord, walk, walk[1:]))
 
 
-def _crossing_offsets(q: int, ends: list[tuple[int, int]]) -> list[int]:
-    """Ascending indices k of the chords ends[k] that cross chord ends[0].
+def _crossing_offsets(q: int, walk: list[int]) -> list[int]:
+    """Ascending indices k of the chords (walk[k], walk[k + 1]) that cross the chord walk[0:2].
 
     The one owner of the interleaving predicate, tested on every chord in
-    one comprehension: exactly one end of chord k lies on the open arc swept
-    from a0 to a1.  A shared vertex is a meeting on the boundary, not a
-    crossing, so entry 0 itself is never listed.
+    one comprehension over consecutive pairs of the walk: exactly one end of
+    chord k lies on the open arc swept from a0 to a1.  A shared vertex is a
+    meeting on the boundary, not a crossing, so chord 0 itself is never
+    listed.
     """
-    a0, a1 = ends[0]
+    a0, a1 = walk[0], walk[1]
     span = (a1 - a0) % q
     return [
         k
-        for k, (b0, b1) in enumerate(ends)
+        for k, (b0, b1) in enumerate(zip(walk, walk[1:]))
         if b0 != a0 and b0 != a1 and b1 != a0 and b1 != a1
         and ((b0 - a0) % q < span) != ((b1 - a0) % q < span)
     ]
@@ -116,10 +118,11 @@ def chords_cross(a: Chord, b: Chord, q: int) -> bool:
 
     Equivalent to their endpoints interleaving around the circle: exactly
     one endpoint of b lies on the open arc swept from a.from_vertex to
-    a.to_vertex.  Chords sharing a vertex only meet on the boundary.
+    a.to_vertex.  Chords sharing a vertex only meet on the boundary.  In
+    the walk a, b below, b is chord 2; chord 1 only links a to b.
     """
-    ends = [(a.from_vertex, a.to_vertex), (b.from_vertex, b.to_vertex)]
-    return bool(_crossing_offsets(q, ends))
+    walk = [a.from_vertex, a.to_vertex, b.from_vertex, b.to_vertex]
+    return 2 in _crossing_offsets(q, walk)
 
 
 def crossing_offsets(param: RotationParameter) -> list[int]:
@@ -127,12 +130,16 @@ def crossing_offsets(param: RotationParameter) -> list[int]:
 
     Chords n and n + k are chords 1 and 1 + k rotated by p*(n-1) vertex
     steps, so they cross exactly when k is listed here (indices mod q).
-    Chord 1 + k is entry k of _chord_ends, the walk verify_pair checks, and
-    _crossing_offsets tests those vertex numbers; entry 0, chord 1 itself,
-    shares its vertices and is never listed.  Each chord crosses 2(p-1)
-    others, and the list is closed under k -> q-k.
+    Chord 1 + k runs from entry k to entry k + 1 of _walk, the walk
+    verify_pair checks, and _crossing_offsets tests those vertex numbers;
+    chord 1 itself shares its vertices and is never listed.  Each chord
+    crosses 2(p-1) others, and the list is closed under k -> q-k.  In
+    closed form the offsets are the sorted residues s*p^-1 mod q for
+    s = +-1..+-(p-1): chord 1 + k runs from s = p*k to s + p (mod q), and
+    as 2p < q exactly one of them lies on the open arc (0, p) of chord 1
+    just when 1 <= |s| <= p - 1, s taken in (-q/2, q/2).
     """
-    return _crossing_offsets(param.q, _chord_ends(param))
+    return _crossing_offsets(param.q, _walk(param))
 
 
 def _radii(param: RotationParameter) -> list[float]:
@@ -169,9 +176,9 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     anything else.  Then the vertices are tied bit for bit to the table
     _directions(q) they are read from.  One comparison with its even slots decides a tied
     figure; only an untied one runs the loop that locates the failure.  It
-    walks the chord ends of _chord_ends and visits the start j of chord
-    n + 1, which ends chord n, for n = 0..q-1, raising with chord_a n (1
-    when n = 0) at the first vertex j off direction 2j: the first chord in
+    reads the walk of _walk and visits its entry n, vertex j = p*n mod q,
+    where chord n ends and chord n + 1 starts, for n = 0..q, raising with
+    chord_a n (1 when n = 0) at the first vertex j off direction 2j: the first chord in
     step order through any untied vertex.  An error in the table itself
     shows only at the places, which rest on _radii's own formula.  Crossing pairs
     (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
@@ -199,7 +206,7 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     unit = _directions(q)
     verts = vertex_positions(param)
     if verts != list(unit[::2]):
-        for n, (j, _) in enumerate(_chord_ends(param)):
+        for n, j in enumerate(_walk(param)):
             if verts[j] != unit[2 * j]:
                 raise RingAssignmentError(
                     f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1

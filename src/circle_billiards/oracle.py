@@ -9,27 +9,29 @@ earlier chords), and with n chords drawn, t boundary vertices touched
 and x crossings the census has v = t + x and e = t + n + 2x, so its faces
 1 + e - v = 1 + n + x are the incremental f_n for every input (t cancels).
 The oracle counts crossings from the crossing offsets, which are purely
-combinatorial and read the walk of geometry._chord_ends; no floating
-point is involved.
+combinatorial and read the walk of geometry._walk, the q + 1 vertices in
+visiting order; no floating point is involved.
 
-verify_pair reads that walk once and hands the one list to the
-crossing-offset test and to an integer check of the walk itself (_off_walk),
-so a walk that keeps chord 1's crossings still fails.  On the checked walk
-t_n = n + 1 for n < q and t_q = q, so verify_pair's census
-(_faces_census) keeps no set and no tuple per prefix: its faces are the
-oracle record's values, and the full-orbit (v, e) follow from x_q.
-census_vs_general therefore fails where general_vs_oracle does; the
-census adds its own evidence through the walk and the full-orbit (v, e),
-which the full_orbit_census check reads, reporting the first chord off the
-walk as its first_divergence.  verify_pair also runs the float ring check;
+verify_pair works on increment counts, not on records.  It reads the walk
+once, checks it in integers first (_off_walk), and tests the same list for
+the crossing offsets.  Chord n crosses as many earlier chords as there are
+offsets below n, so the gaps of [0, *offsets, q] are the oracle's counts:
+o_d - o_(d-1) chords add d.  general_vs_oracle compares them with
+formula._general_counts in O(p).  Both sides expand to non-decreasing
+steps, so the counts agree exactly when the values do, and only a failure
+expands them to find the first index that differs.  On the checked walk
+t_n = n + 1 for n < q and t_q = q, so the census faces are the oracle's
+values: census_vs_general fails where general_vs_oracle does, and
+full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, or names
+the first chord off the walk.  verify_pair also runs the float ring check;
 _ring_check says why chord 1's crossings stand for the full orbit and what
 that loses.  Every stage of verify_pair is O(q), and the public counters
 read their own walk, offsets and oracle record.
-verify_pair reads plain values only: the walk check reads the chord ends as
-tuples from geometry._chord_ends, the ring check reads the radii as floats
-from geometry._radii, and each passing CheckResult is one shared record per
-check name.  The public records, Chord and RingRadius, are built only by
-chord_list and ring_radii, which wrap those same values.
+verify_pair reads plain values only: ints for the walk and the counts,
+floats for the radii from geometry._radii, and each passing CheckResult is
+one shared record per check name.  The public records, Chord and
+RingRadius, are built only by chord_list and ring_radii, which wrap those
+same values.
 """
 
 from __future__ import annotations
@@ -42,19 +44,14 @@ from dataclasses import dataclass
 from .core import ParameterError, RotationParameter, _require_ints
 from .formula import (
     DivisionSequence,
+    _check_counts,
     _expand,
+    _general_counts,
     euler_counts,
-    general_sequence,
     r1_sequence,
     special_sequence,
 )
-from .geometry import (
-    RingAssignmentError,
-    _chord_ends,
-    _crossing_offsets,
-    _crossings,
-    crossing_offsets,
-)
+from .geometry import RingAssignmentError, _crossing_offsets, _crossings, _walk, crossing_offsets
 
 
 @dataclass(frozen=True)
@@ -75,21 +72,21 @@ def oracle_sequence(param: RotationParameter) -> DivisionSequence:
     outside it, and through a point outside a circle pass exactly two
     tangents.
     """
-    return _oracle_sequence(param, crossing_offsets(param))
+    counts = _oracle_counts(param.q, crossing_offsets(param))
+    return DivisionSequence.from_increments(param, _expand(counts))
 
 
-def _oracle_sequence(param: RotationParameter, offsets: list[int]) -> DivisionSequence:
-    """oracle_sequence from the given ascending crossing offsets.
+def _oracle_counts(q: int, offsets: list[int]) -> list[int]:
+    """The increment counts of the ascending crossing offsets: counts[d - 1] chords add d.
 
     Chord n crosses chord n - k exactly when k is an offset, so it crosses
     as many earlier chords as there are offsets below n: the chords between
     two consecutive offsets of [0, *offsets, q] form one plateau, and the
-    gaps are the increment counts that formula._expand turns into steps.
-    An unsorted list gives a negative gap, whose run _expand drops, so the
-    record fails its length check.
+    gaps are the counts.  An unsorted list gives a negative gap, which
+    formula._check_counts refuses and whose run formula._expand drops.
     """
-    bounds = [0, *offsets, param.q]
-    return DivisionSequence.from_increments(param, _expand(map(operator.sub, bounds[1:], bounds)))
+    bounds = [0, *offsets, q]
+    return [*map(operator.sub, bounds[1:], bounds)]
 
 
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
@@ -109,16 +106,16 @@ def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
 def _census_prefixes(param: RotationParameter, increments) -> list[tuple[int, int, int]]:
     """census_prefixes as (vertices, edges, faces) tuples, from the oracle's increments.
 
-    The touched vertices come from the chord ends of geometry._chord_ends,
-    the (from, to) tuples that chord_list wraps; chord n crosses its
-    increment - 1 earlier chords, so the crossings are the running sums of
-    the increments less one.
+    The touched vertices come from the walk of geometry._walk, whose entry
+    n ends chord n; chord n crosses its increment - 1 earlier chords, so the
+    crossings are the running sums of the increments less one.
     """
-    touched = set()
+    walk = _walk(param)
+    touched = {walk[0]}
     out = [(0, 0, 1)]
     crossings = itertools.accumulate(map((-1).__add__, increments))
-    for n, (ends, x) in enumerate(zip(_chord_ends(param), crossings), start=1):
-        touched.update(ends)
+    for n, (j, x) in enumerate(zip(walk[1:], crossings), start=1):
+        touched.add(j)
         t = len(touched)
         v = t + x
         e = t + n + 2 * x
@@ -135,44 +132,25 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     return ArrangementCensus(*_census_prefixes(param, increments)[upto_chord])
 
 
-def _off_walk(param: RotationParameter, ends: list[tuple[int, int]]) -> int | None:
-    """None if the chord ends are the walk, else the first chord n off it.
+def _off_walk(param: RotationParameter, walk: list[int]) -> int | None:
+    """None if walk is the walk, else the first chord n off it.
 
-    The walk in integers, checked with list operations only: chord 1 starts
-    at vertex 0, chord n ends where chord n + 1 starts, and each of the q
-    chords spans p, (b - a) mod q = p.  With gcd(p, q) = 1 these give chord
-    n = (p(n-1), pn) mod q, so the walk closes at vertex 0 and its q starts
-    are distinct.  Only a failure runs the loop, which finds the first
-    chord whose start is not the previous end (0 for chord 1) or whose span
-    is not p; that is the first chord whose ends differ from the walk's.
+    The walk in integers, checked with list operations only: it starts at
+    vertex 0, has q + 1 entries, and every step is p mod q.  With
+    gcd(p, q) = 1 these give entry n = p*n mod q, so the walk closes at
+    vertex 0 and its first q entries are distinct.  A vertex moved to
+    another of 0..q-1 breaks the step onto it, and the step before it is
+    still p: so only a failure runs the loop, which names chord 1 for a
+    wrong start, else the first chord n whose step is not p; a short walk
+    names the first chord missing and a long one chord q + 1.
     """
     p, q = param.p, param.q
-    starts, stops = zip(*ends)
-    if (
-        starts[0] == 0
-        and starts[1:] == stops[:-1]
-        and [*map(q.__rmod__, map(operator.sub, stops, starts))] == [p] * q
-    ):
+    steps = [*map(q.__rmod__, map(operator.sub, walk[1:], walk))]
+    if len(walk) == q + 1 and walk[0] == 0 and steps == [p] * q:
         return None
-    prev = 0
-    for n, (a, b) in enumerate(ends[:q], start=1):
-        if a != prev or (b - a) % q != p:
-            return n
-        prev = b
-    return min(len(ends), q) + 1  # every chord on the walk, but not q of them
-
-
-def _faces_census(param: RotationParameter, values) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """census_prefixes' faces and full-orbit (vertices, edges) on a checked walk.
-
-    The faces 1 + n + x_n are the oracle record's values, read as they are.
-    On the walk of _off_walk the full orbit touches all t_q = q vertices,
-    and its x_q = f_q - 1 - q crossings give v = q + x_q and
-    e = 2q + 2x_q, so no set and no tuple per prefix is built.
-    """
-    q = param.q
-    x = values[-1] - 1 - q
-    return values, (q + x, 2 * q + 2 * x)
+    if walk[:1] != [0]:
+        return 1
+    return next((n for n, d in enumerate(steps, start=1) if d != p), min(len(walk), q + 1))
 
 
 @dataclass(frozen=True)
@@ -247,49 +225,63 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     return _result("rings", per_ring == [0] + [q] * (p - 1))
 
 
-def _form_check(name: str, form, arg, general: DivisionSequence) -> CheckResult:
-    """Compare the closed form form(arg) with general; a form that raises fails."""
+def _values(counts: list[int]) -> tuple[int, ...]:
+    """f_0..f_q of the increment counts, as DivisionSequence.values holds them."""
+    return tuple(itertools.accumulate(_expand(counts), initial=1))
+
+
+def _form_check(name: str, form, arg, counts: list[int]) -> CheckResult:
+    """Compare the closed form form(arg) with the values of counts; a form that raises fails."""
     try:
         values = form(arg).values
     except ValueError:
         return CheckResult(name, False)
-    return _compare(name, values, general.values)
+    return _compare(name, values, _values(counts))
 
 
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    The walk of _chord_ends is read once: the crossing offsets are tested
-    on it and serve the oracle count and the ring check, and _off_walk
-    checks it in integers.  The census reads the oracle record's values as
-    its faces and builds no set and no tuple per prefix; full_orbit_census
-    fails at the first chord off the walk, or on the full-orbit totals.
+    The walk of geometry._walk is read once.  _off_walk checks it first,
+    so a wrong walk names its chord in full_orbit_census even where the
+    counts break.  The crossing offsets are tested on the same list and
+    serve the oracle counts and the ring check.  Both sides' counts must
+    pass formula._check_counts, or the report is sequence_construction;
+    general_vs_oracle and census_vs_general then compare them in O(p), and
+    only a failure expands both to values for its first_divergence.  The
+    closed forms are compared as values, on their own pairs only.
     Failures become report entries rather than exceptions so exhaustive
     scans can aggregate them.
     """
-    ends = _chord_ends(param)
-    offsets = _crossing_offsets(param.q, ends)
+    p, q = param.p, param.q
+    walk = _walk(param)
+    off = _off_walk(param, walk)
+    census = [] if off is None else [CheckResult("full_orbit_census", False, off)]
+    offsets = _crossing_offsets(q, walk)
+    found = _oracle_counts(q, offsets)
     try:
-        general = general_sequence(param)
-        oracle = _oracle_sequence(param, offsets)
+        counts = _general_counts(param)
+        _check_counts(param, counts)
+        _check_counts(param, found)
     except ValueError:
-        return VerificationReport(
-            param, (CheckResult("sequence_construction", False),)
-        )
-    faces, (v, e) = _faces_census(param, oracle.values)
-    off = _off_walk(param, ends)
-    checks = [
-        _compare("general_vs_oracle", general.values, oracle.values),
-        _compare("census_vs_general", faces, general.values),
-        CheckResult("full_orbit_census", False, off)
-        if off is not None
-        else _result("full_orbit_census", (v, e, faces[-1]) == euler_counts(param)),
-    ]
+        return VerificationReport(param, (CheckResult("sequence_construction", False), *census))
 
-    if param.q == 2 * param.p + 1:
-        checks.append(_form_check("special_form", special_sequence, param.p, general))
+    if counts == found:
+        checks = [_passed("general_vs_oracle"), _passed("census_vs_general")]
+    else:
+        n = _compare("general_vs_oracle", _values(counts), _values(found)).first_divergence
+        checks = [CheckResult(name, False, n) for name in ("general_vs_oracle", "census_vs_general")]
+    if not census:
+        # All q vertices touched, and x = f_q - 1 - q crossings: v = q + x, e = 2q + 2x.
+        x = sum(map(operator.mul, itertools.count(1), found)) - q
+        full = (q + x, 2 * q + 2 * x, 1 + q + x)
+        census = [_result("full_orbit_census", full == euler_counts(param))]
+    checks += census
+
+    if q == 2 * p + 1:
+        checks.append(_form_check("special_form", special_sequence, p, counts))
     if param.r == 1:
-        checks.append(_form_check("r1_form", r1_sequence, param, general))
+        checks.append(_form_check("r1_form", r1_sequence, param, counts))
 
     checks.append(_ring_check(param, offsets))
     return VerificationReport(param, tuple(checks))

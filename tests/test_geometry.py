@@ -1,15 +1,16 @@
 import bisect
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circle_billiards import geometry
+from circle_billiards import formula, geometry
 from circle_billiards.cli import run_verification
-from circle_billiards.core import coprime_rotations, make_rotation
+from circle_billiards.core import MAX_Q, coprime_rotations, make_rotation
 from circle_billiards.geometry import (
     Chord,
     RingAssignmentError,
@@ -364,6 +365,39 @@ def _check_against_pairwise_reference(rp):
 def test_crossing_offsets_match_pairwise_reference():
     for rp in coprime_rotations(80):
         _check_against_pairwise_reference(rp)
+
+
+def _offsets_in_closed_form(rp):
+    # The residues s*p^-1 mod q for s = +-1..+-(p - 1), sorted.
+    inverse = pow(rp.p, -1, rp.q)
+    return sorted(s * inverse % rp.q for s in range(1 - rp.p, rp.p) if s)
+
+
+def test_crossing_offsets_in_closed_form():
+    # Chord 1 + k crosses chord 1 exactly when s = p*k mod q, taken in
+    # (-q/2, q/2), has 1 <= |s| <= p - 1 (crossing_offsets).
+    for rp in coprime_rotations(120):
+        assert _offsets_in_closed_form(rp) == crossing_offsets(rp), (rp.p, rp.q)
+
+
+def test_closed_form_offsets_give_the_plateau_counts():
+    # A second witness of the paper's schedule, up to MAX_Q, where verify
+    # does not reach: plateau d holds the chords between the (d - 1)-th and
+    # d-th smallest residue.  The pinned seq pairs, then seeded random ones.
+    rng = random.Random(12)
+    pairs = [(3901, 999480), (499999, 999999), (7, 999342), (143697, 998639)]
+    pairs += [(1, MAX_Q), (49999, 999999), (499997, 999997)]
+    while len(pairs) < 20:
+        q = rng.randint(3, MAX_Q)
+        p = rng.randint(1, (q - 1) // 2)
+        if math.gcd(p, q) == 1:
+            pairs.append((p, q))
+    for p, q in pairs:
+        rp = make_rotation(p, q)
+        assert (rp.p, rp.q) == (p, q)
+        bounds = [0, *_offsets_in_closed_form(rp), q]
+        gaps = [b - a for a, b in zip(bounds, bounds[1:])]
+        assert gaps == formula._general_counts(rp), (p, q)
 
 
 @st.composite

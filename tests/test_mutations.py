@@ -86,53 +86,56 @@ def _swap_rings(true, param):
 
 
 def _pinch(true, param):
-    # Vertex 2p (mod q) moved onto vertex 0, in the (from, to) chord ends.
+    # Vertex 2p (mod q), walk entry 2, moved onto vertex 0.
     lost = 2 * param.p % param.q
-    return [(0 if a == lost else a, 0 if b == lost else b) for a, b in true(param)]
+    return [0 if j == lost else j for j in true(param)]
 
 
 def _swap_chords(true, param):
-    # The first and the last chord ends exchanged in traversal order.
-    chords = true(param)
-    chords[0], chords[-1] = chords[-1], chords[0]
-    return chords
+    # Walk entries 1 and q - 1 (vertices p and -p) exchanged: chord 1 then
+    # runs from 0 to -p and chord q from p to 0, the ends of the last and
+    # the first chord traced backwards.
+    walk = true(param)
+    walk[1], walk[-2] = walk[-2], walk[1]
+    return walk
 
 
 def _swap_chords_2_3(true, param):
-    # Chords 2 and 3 exchanged in traversal order.
-    chords = true(param)
-    chords[1], chords[2] = chords[2], chords[1]
-    return chords
+    # Walk entries 2 and 3 (vertices 2p and 3p) exchanged: chord 2 then
+    # spans 2p and chord 4 starts at 2p.
+    walk = true(param)
+    walk[2], walk[3] = walk[3], walk[2]
+    return walk
 
 
-def _drop_offset(true, q, ends):
+def _drop_offset(true, q, walk):
     # The smallest crossing offset left out.
-    return true(q, ends)[1:]
+    return true(q, walk)[1:]
 
 
-def _add_offset(true, q, ends):
+def _add_offset(true, q, walk):
     # Offset 1 added: chords n and n + 1 share a vertex and never cross.
-    return sorted({1, *true(q, ends)})
+    return sorted({1, *true(q, walk)})
 
 
-def _move_offset_pair(true, q, ends):
+def _move_offset_pair(true, q, walk):
     # The pair k, q - k of the smallest offset replaced by 1, q - 1: the
     # crossing total, and so f_q, stays, but every ring count moves.
-    offsets = true(q, ends)
+    offsets = true(q, walk)
     if not offsets:
         return offsets
     k = offsets[0]
     return sorted({1, q - 1, *offsets} - {k, q - k})
 
 
-def _move_offset_pair_far(true, q, ends):
+def _move_offset_pair_far(true, q, walk):
     # As _move_offset_pair, but onto the pair k, q - k with |s| = q // 2
     # (s = p*k mod q taken in (-q/2, q/2)): its ring p - |s| is 0 or
     # negative, off the rings that carry crossings.  Chord 1 ends at p.
-    offsets = true(q, ends)
+    offsets = true(q, walk)
     if not offsets:
         return offsets
-    k, p = offsets[0], ends[0][1]
+    k, p = offsets[0], walk[1]
     far = q // 2 * pow(p, -1, q) % q
     return sorted({far, q - far, *offsets} - {k, q - k})
 
@@ -169,10 +172,10 @@ def _spare_chord_one(true, normal_a, normal_b, d):
 
 
 # name -> (modules whose binding is replaced, function name, mutant).
-# verify_pair and the public census read their chord ends from
-# oracle._chord_ends, and verify_pair tests them with
-# oracle._crossing_offsets; chord_list, crossing_offsets and the vertex-tie
-# locator read the geometry bindings.
+# verify_pair and the public census read their walk from oracle._walk, and
+# verify_pair tests it with oracle._crossing_offsets and reads the plateau
+# counts from oracle._general_counts; chord_list, crossing_offsets, the
+# vertex-tie locator and general_sequence read their own module's binding.
 # The ring mutations replace geometry._radii, the floats that ring_radii
 # wraps and the ring check reads.
 MUTATIONS = {
@@ -183,14 +186,14 @@ MUTATIONS = {
     "move_direction_1": ((geometry,), "_directions", _move_direction_1),
     "scale_rings": ((geometry,), "_radii", _scale_rings),
     "swap_rings": ((geometry,), "_radii", _swap_rings),
-    "pinch_chord": ((geometry, oracle), "_chord_ends", _pinch),
-    "swap_chords": ((geometry, oracle), "_chord_ends", _swap_chords),
-    "swap_chords_2_3": ((geometry, oracle), "_chord_ends", _swap_chords_2_3),
+    "pinch_chord": ((geometry, oracle), "_walk", _pinch),
+    "swap_chords": ((geometry, oracle), "_walk", _swap_chords),
+    "swap_chords_2_3": ((geometry, oracle), "_walk", _swap_chords_2_3),
     "drop_offset": ((geometry, oracle), "_crossing_offsets", _drop_offset),
     "add_offset": ((geometry, oracle), "_crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "_crossing_offsets", _move_offset_pair),
     "move_offset_pair_far": ((geometry, oracle), "_crossing_offsets", _move_offset_pair_far),
-    "move_plateau_boundary": ((formula,), "_general_counts", _move_plateau_boundary),
+    "move_plateau_boundary": ((formula, oracle), "_general_counts", _move_plateau_boundary),
     "change_special_value": ((oracle,), "special_sequence", _change_value),
     "change_r1_value": ((oracle,), "r1_sequence", _change_value),
     "spare_chord_one_locator": ((geometry,), "_line_intersection", _spare_chord_one),
@@ -253,29 +256,31 @@ EXPECTED = {
     "move_direction_1": _beyond_p1(("rings", 1)),
     "scale_rings": _beyond_p1(("rings", 1)),
     "swap_rings": _beyond_p1(("rings", None)),
-    # Where 3p > q, chord 3 crosses chord 1 and the pinch moves its start
-    # onto vertex 0, so the offsets lose one; elsewhere the walk check names
-    # chord 2, which now ends on vertex 0 and so does not span p.
+    # The walk check runs first, so every row names the chord whose step
+    # the moved vertex breaks.  Where 3p > q, chord 3 crosses chord 1 and
+    # the pinch moves its start onto vertex 0, so the offsets lose one as
+    # well; elsewhere only the walk check sees that chord 2 now ends on
+    # vertex 0 and so does not span p.
     "pinch_chord": {
         **_everywhere(("full_orbit_census", 2)),
-        "2/5": (("sequence_construction", None),),
-        "3/7": (("sequence_construction", None),),
-        "5/13": (("sequence_construction", None),),
+        "2/5": (("sequence_construction", None), ("full_orbit_census", 2)),
+        "3/7": (("sequence_construction", None), ("full_orbit_census", 2)),
+        "5/13": (("sequence_construction", None), ("full_orbit_census", 2)),
     },
-    # At p = 1 chord 1 crosses nothing, so only the walk check sees that
-    # chord 1 no longer starts at vertex 0.
+    # Chord 1 now runs from 0 to -p.  At p = 1 it crosses nothing either
+    # way, so only the walk check sees it; at p >= 2 its crossings move too.
     "swap_chords": {
-        **_beyond_p1(("sequence_construction", None)),
+        **_beyond_p1(("sequence_construction", None), ("full_orbit_census", 1)),
         "1/3": (("full_orbit_census", 1),),
         "1/5": (("full_orbit_census", 1),),
     },
     # Where 3p < q the swap keeps chord 1's crossings and the touched set;
-    # chord 2 then starts at 2p, not at p where chord 1 ends.
+    # chord 2 then spans 2p, not p.
     "swap_chords_2_3": {
         **_everywhere(("full_orbit_census", 2)),
-        "2/5": (("sequence_construction", None),),
-        "3/7": (("sequence_construction", None),),
-        "5/13": (("sequence_construction", None),),
+        "2/5": (("sequence_construction", None), ("full_orbit_census", 2)),
+        "3/7": (("sequence_construction", None), ("full_orbit_census", 2)),
+        "5/13": (("sequence_construction", None), ("full_orbit_census", 2)),
     },
     "drop_offset": _beyond_p1(("sequence_construction", None)),
     "add_offset": _everywhere(("sequence_construction", None)),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circle_billiards import cli, geometry, oracle
+from circle_billiards import cli, formula, geometry, oracle
 from circle_billiards.core import ParameterError, coprime_rotations, make_rotation
+from circle_billiards.formula import euler_counts
 from circle_billiards.geometry import crossing_offsets
 from circle_billiards.oracle import (
     CheckResult,
@@ -132,41 +134,38 @@ def test_verify_pair_scan_all_green():
 
 
 def test_verify_pair_computes_offsets_once(monkeypatch):
-    # Each passing pair reads the walk once and tests it for crossings once,
-    # and the oracle and the ring check get that very offsets list.  The
-    # per-prefix census, with its set and its tuples, is never built.
+    # Each passing pair builds the walk once and tests it for crossings
+    # once, and the ring check gets that very offsets list.  No division
+    # record is built for the general form or the oracle, and neither is
+    # the per-prefix census with its set and its tuples.
     calls = []
     computed = []
-    true_ends = geometry._chord_ends
+    true_walk = geometry._walk
     true_offsets = geometry._crossing_offsets
-    true_oracle = oracle._oracle_sequence
     true_rings = oracle._ring_check
 
-    def counted_ends(param):
+    def counted_walk(param):
         calls.append("walk")
-        return true_ends(param)
+        return true_walk(param)
 
-    def counted_offsets(q, ends):
+    def counted_offsets(q, walk):
         calls.append("offsets")
-        computed.append(true_offsets(q, ends))
+        computed.append(true_offsets(q, walk))
         return computed[-1]
-
-    def seen_oracle(param, offsets):
-        assert offsets is computed[-1]
-        return true_oracle(param, offsets)
 
     def seen_rings(param, offsets):
         assert offsets is computed[-1]
         return true_rings(param, offsets)
 
     def refuse(*args):
-        raise AssertionError("verify_pair built the per-prefix census")
+        raise AssertionError("verify_pair built a division record or the per-prefix census")
 
     for module in (geometry, oracle):
-        monkeypatch.setattr(module, "_chord_ends", counted_ends)
+        monkeypatch.setattr(module, "_walk", counted_walk)
         monkeypatch.setattr(module, "_crossing_offsets", counted_offsets)
-    monkeypatch.setattr(oracle, "_oracle_sequence", seen_oracle)
     monkeypatch.setattr(oracle, "_ring_check", seen_rings)
+    monkeypatch.setattr(formula, "general_sequence", refuse)
+    monkeypatch.setattr(oracle, "oracle_sequence", refuse)
     monkeypatch.setattr(oracle, "_census_prefixes", refuse)
     for pq in [(1, 5), (2, 5), (3, 13), (3, 14)]:
         calls.clear()
@@ -177,31 +176,33 @@ def test_verify_pair_computes_offsets_once(monkeypatch):
 
 def test_faces_census_matches_the_public_census():
     # On every pair with q <= 60 the walk check passes, and the census that
-    # verify_pair reads has census_prefixes' faces and full-orbit (v, e).
+    # verify_pair relies on holds: census_prefixes' faces are the oracle's
+    # values, and its full-orbit (v, e) are euler_counts'.
     for rp in coprime_rotations(60):
-        assert oracle._off_walk(rp, geometry._chord_ends(rp)) is None, (rp.p, rp.q)
-        faces, full = oracle._faces_census(rp, oracle_sequence(rp).values)
+        assert oracle._off_walk(rp, geometry._walk(rp)) is None, (rp.p, rp.q)
         public = census_prefixes(rp)
-        assert list(faces) == [c.faces_count for c in public], (rp.p, rp.q)
-        assert full == (public[-1].vertices_count, public[-1].edges_count), (rp.p, rp.q)
+        assert [c.faces_count for c in public] == list(oracle_sequence(rp).values), (rp.p, rp.q)
+        full = (public[-1].vertices_count, public[-1].edges_count)
+        assert full == euler_counts(rp)[:2], (rp.p, rp.q)
 
 
-def _first_chord_off_walk(rp, ends):
-    # Reference: the first chord n whose ends differ from (p(n - 1), pn) mod q.
+def _first_chord_off_walk(rp, walk):
+    # Reference: chord 1 if entry 0 is not vertex 0, else the first chord n
+    # whose end, entry n, is not p*n mod q or is missing, else chord q + 1
+    # for an entry past the q-th.
     p, q = rp.p, rp.q
-    return next(n for n in range(1, q + 1) if tuple(ends[n - 1]) != (p * (n - 1) % q, p * n % q))
+    true = [p * n % q for n in range(q + 1)]
+    return next(n or 1 for n in range(max(len(walk), q + 1)) if walk[n : n + 1] != true[n : n + 1])
 
 
 def _assert_walk_located(rp):
     # The walk check names the reference chord, and so does verify_pair's
-    # full_orbit_census wherever the crossing offsets still give a sequence.
-    ends = oracle._chord_ends(rp)
-    expected = _first_chord_off_walk(rp, ends)
-    assert oracle._off_walk(rp, ends) == expected, (rp.p, rp.q)
-    failures = verify_pair(rp).failures()
-    if [c.name for c in failures] != ["sequence_construction"]:
-        (census,) = [c for c in failures if c.name == "full_orbit_census"]
-        assert census.first_divergence == expected, (rp.p, rp.q)
+    # full_orbit_census, which the walk check decides before the counts.
+    walk = oracle._walk(rp)
+    expected = _first_chord_off_walk(rp, walk)
+    assert oracle._off_walk(rp, walk) == expected, (rp.p, rp.q)
+    (census,) = [c for c in verify_pair(rp).failures() if c.name == "full_orbit_census"]
+    assert census.first_divergence == expected, (rp.p, rp.q)
 
 
 @pytest.mark.parametrize("mutation", ["pinch_chord", "swap_chords", "swap_chords_2_3"])
@@ -212,42 +213,106 @@ def test_walk_check_names_first_chord_off_the_walk(monkeypatch, mutation):
 
 
 def test_walk_check_names_the_chord_past_a_short_or_long_walk():
-    # Every chord listed is on the walk, but there are not q of them: the
-    # first chord off the walk is the one missing, or the one too many.
+    # Every step is p, but the walk does not have q + 1 entries: the first
+    # chord off the walk is the one missing, or the one too many.
     for pq in PAIRS:
         rp = make_rotation(*pq)
-        ends = geometry._chord_ends(rp)
-        assert oracle._off_walk(rp, ends[:-1]) == rp.q
-        assert oracle._off_walk(rp, ends + ends[:1]) == rp.q + 1
+        walk = geometry._walk(rp)
+        for wrong, n in [(walk[:-1], rp.q), (walk + walk[1:2], rp.q + 1)]:
+            assert _first_chord_off_walk(rp, wrong) == n
+            assert oracle._off_walk(rp, wrong) == n
 
 
-def test_walk_check_names_first_of_two_swapped_chords(monkeypatch):
-    # Three random swaps of two chords for every pair with q <= 30.
+def test_walk_check_names_first_of_two_swapped_vertices(monkeypatch):
+    # Three random swaps of two of the q distinct entries 0..q-1 for every
+    # pair with q <= 30.
     rng = random.Random(30)
-    true_ends = geometry._chord_ends
+    true_walk = geometry._walk
     for rp in coprime_rotations(30):
         for _ in range(3):
             i, j = rng.sample(range(rp.q), 2)
 
             def swapped(param, i=i, j=j):
-                ends = true_ends(param)
-                ends[i], ends[j] = ends[j], ends[i]
-                return ends
+                walk = true_walk(param)
+                walk[i], walk[j] = walk[j], walk[i]
+                return walk
 
-            monkeypatch.setattr(oracle, "_chord_ends", swapped)
+            monkeypatch.setattr(oracle, "_walk", swapped)
             _assert_walk_located(rp)
+
+
+def _values(counts):
+    # Reference: f_0..f_q of counts[d - 1] chords adding d, for d = 1, 2, ...
+    steps = [d for d, c in enumerate(counts, 1) for _ in range(c)]
+    return list(itertools.accumulate(steps, initial=1))
+
+
+def _shift_counts(rng, counts):
+    # One chord moved from plateau d down to d - 1 and one from plateau e
+    # up to e + 1, with e != d - 1: q and f_q stay, so _check_counts passes.
+    counts = list(counts)
+    d = rng.choice([d for d in range(2, len(counts) + 1) if counts[d - 1]])
+    counts[d - 1] -= 1
+    counts[d - 2] += 1
+    e = rng.choice([e for e in range(1, len(counts)) if counts[e - 1] and e != d - 1])
+    counts[e - 1] -= 1
+    counts[e] += 1
+    return counts
+
+
+def _shift_offsets(rng, q, offsets):
+    # One offset up by 1 and another down by 1, kept in order within 0..q:
+    # the crossing total q*(p - 1) = sum of q - k, and so f_q, stays.
+    bounds = [0, *offsets, q]
+    ups = [i for i in range(1, len(bounds) - 1) if bounds[i] < bounds[i + 1]]
+    i = rng.choice(ups)
+    bounds[i] += 1
+    downs = [j for j in range(1, len(bounds) - 1) if j != i and bounds[j] > bounds[j - 1]]
+    j = rng.choice(downs)
+    bounds[j] -= 1
+    return bounds[1:-1]
+
+
+def test_general_vs_oracle_names_the_first_differing_value(monkeypatch):
+    # Seeded corruptions of the general counts and of the crossing offsets
+    # that still pass _check_counts: general_vs_oracle, and
+    # census_vs_general with it, fail at the first index where the two
+    # sides' values differ.
+    rng = random.Random(31)
+    true_counts = formula._general_counts
+    true_offsets = geometry._crossing_offsets
+    cases = [rp for rp in coprime_rotations(40) if rp.p > 1]
+    for rp in rng.sample(cases, 40):
+        for side in ("counts", "offsets"):
+            counts = true_counts(rp)
+            offsets = true_offsets(rp.q, geometry._walk(rp))
+            if side == "counts":
+                counts = _shift_counts(rng, counts)
+            else:
+                offsets = _shift_offsets(rng, rp.q, offsets)
+            found = oracle._oracle_counts(rp.q, offsets)
+            formula._check_counts(rp, counts)
+            formula._check_counts(rp, found)
+            monkeypatch.setattr(oracle, "_general_counts", lambda param, c=counts: list(c))
+            monkeypatch.setattr(oracle, "_crossing_offsets", lambda q, walk, o=offsets: list(o))
+            general, oracle_values = _values(counts), _values(found)
+            n = next(n for n, (a, b) in enumerate(zip(general, oracle_values)) if a != b)
+            failures = {c.name: c.first_divergence for c in verify_pair(rp).failures()}
+            assert failures["general_vs_oracle"] == n, (rp.p, rp.q, side)
+            assert failures["census_vs_general"] == n, (rp.p, rp.q, side)
 
 
 @pytest.mark.parametrize(
     "form, check",
     [
-        ("general_sequence", "sequence_construction"),
+        ("_general_counts", "sequence_construction"),
         ("r1_sequence", "r1_form"),
         ("special_sequence", "special_form"),
     ],
 )
 def test_form_that_raises_fails_its_check(monkeypatch, capsys, form, check):
     # 3/7 has both q = 2p + 1 and r = 1, so every closed form is built.
+    # verify_pair reads the general form as its plateau counts.
     def refuse(*args):
         raise ValueError(f"{form} refused")
 
