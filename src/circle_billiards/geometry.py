@@ -81,8 +81,9 @@ def _walk(param: RotationParameter) -> list[int]:
 
     Chord n runs from entry n - 1 to entry n, so each chord starts where the
     one before it ends.  chord_list, the crossing offsets, the vertex-tie
-    locator of _crossings, the census and verify_pair's walk check all read
-    it, so a wrong walk reaches every counter.
+    locator of _crossings and the census all read it, so a wrong walk
+    reaches every counter; verify_pair's walk check compares it with
+    p*n mod q, entry by entry.
     """
     p, q = param.p, param.q
     return [p * n % q for n in range(q + 1)]

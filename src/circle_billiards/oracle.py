@@ -4,29 +4,28 @@ Two accountings: an incremental count (each chord adds one region per
 earlier chord it crosses, plus one) and a vertex/edge/face census of the
 induced planar subdivision, which census_prefixes takes at every prefix and
 arrangement_census reads one prefix from.  They are not independent: the
-census reads the oracle's increments (chord n crosses its increment - 1
-earlier chords), and with n chords drawn, t boundary vertices touched
-and x crossings the census has v = t + x and e = t + n + 2x, so its faces
-1 + e - v = 1 + n + x are the incremental f_n for every input (t cancels).
+census reads the oracle's increments, and with n chords drawn, t boundary
+vertices touched and x crossings it has v = t + x and e = t + n + 2x, so
+its faces 1 + e - v = 1 + n + x are the incremental f_n for every input.
 The oracle counts crossings from the crossing offsets, which are purely
 combinatorial and read the walk of geometry._walk, the q + 1 vertices in
 visiting order; no floating point is involved.
 
 verify_pair works on increment counts, not on records.  It reads the walk
-once, checks it in integers first (_off_walk), and tests the same list for
-the crossing offsets.  Chord n crosses as many earlier chords as there are
-offsets below n, so the gaps of [0, *offsets, q] are the oracle's counts:
-o_d - o_(d-1) chords add d.  general_vs_oracle compares them with
-formula._general_counts in O(p).  Both sides expand to non-decreasing
-steps, so the counts agree exactly when the values do, and only a failure
-expands them to find the first index that differs.  On the checked walk
-t_n = n + 1 for n < q and t_q = q, so the census faces are the oracle's
-values: census_vs_general fails where general_vs_oracle does, and
-full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, or names
-the first chord off the walk.  verify_pair also runs the float ring check;
-_ring_check says why chord 1's crossings stand for the full orbit and what
-that loses.  Every stage of verify_pair is O(q), and the public counters
-read their own walk, offsets and oracle record.
+once, checks first that it equals p*n mod q (_off_walk), and tests the
+same list for the crossing offsets.  Chord n crosses as many earlier
+chords as there are offsets below n, so the gaps of [0, *offsets, q] are
+the oracle's counts: o_d - o_(d-1) chords add d.  general_vs_oracle
+compares them with formula._general_counts in O(p).  Both sides expand to
+non-decreasing steps, so the counts agree exactly when the values do, and
+only a failure expands them to find the first index that differs.  On the
+checked walk t_n = n + 1 for n < q and t_q = q, so the census faces are
+the oracle's values: census_vs_general fails where general_vs_oracle does,
+and full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, or
+names the first chord off the walk.  verify_pair also runs the float ring
+check; _ring_check says why chord 1's crossings stand for the full orbit
+and what that loses.  Every stage of verify_pair is O(q), and the public
+counters read their own walk, offsets and oracle record.
 verify_pair reads plain values only: ints for the walk and the counts,
 floats for the radii from geometry._radii, and each passing CheckResult is
 one shared record per check name.  The public records, Chord and
@@ -92,34 +91,23 @@ def _oracle_counts(q: int, offsets: list[int]) -> list[int]:
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     """Euler census of the subdivision induced by each chord prefix 0..q.
 
-    One pass over the chords: a boundary vertex counts once any incident
-    chord is drawn, and t touched points cut the boundary into t arcs; a
-    chord crossed c times contributes c + 1 edges, and chord n adds the
-    crossings with the earlier chords it crosses.  Faces follow from
-    f = 1 + e - v with the outer face excluded.  The bare circle (prefix 0)
-    is (0, 0, 1) by convention.
-    """
-    increments = oracle_sequence(param).increments
-    return [ArrangementCensus(*c) for c in _census_prefixes(param, increments)]
-
-
-def _census_prefixes(param: RotationParameter, increments) -> list[tuple[int, int, int]]:
-    """census_prefixes as (vertices, edges, faces) tuples, from the oracle's increments.
-
-    The touched vertices come from the walk of geometry._walk, whose entry
-    n ends chord n; chord n crosses its increment - 1 earlier chords, so the
-    crossings are the running sums of the increments less one.
+    One pass over the walk of geometry._walk, whose entry n ends chord n: a
+    boundary vertex counts once any incident chord is drawn, and t touched
+    points cut the boundary into t arcs; a chord crossed c times contributes
+    c + 1 edges, and chord n crosses its increment - 1 earlier chords, so
+    the crossings are the running sums of the increments less one.  Faces
+    follow from f = 1 + e - v with the outer face excluded.  The bare
+    circle (prefix 0) is (0, 0, 1) by convention.
     """
     walk = _walk(param)
     touched = {walk[0]}
-    out = [(0, 0, 1)]
-    crossings = itertools.accumulate(map((-1).__add__, increments))
+    out = [ArrangementCensus(0, 0, 1)]
+    crossings = itertools.accumulate(map((-1).__add__, oracle_sequence(param).increments))
     for n, (j, x) in enumerate(zip(walk[1:], crossings), start=1):
         touched.add(j)
         t = len(touched)
-        v = t + x
-        e = t + n + 2 * x
-        out.append((v, e, 1 + e - v))
+        v, e = t + x, t + n + 2 * x
+        out.append(ArrangementCensus(v, e, 1 + e - v))
     return out
 
 
@@ -128,33 +116,32 @@ def arrangement_census(param: RotationParameter, upto_chord: int) -> Arrangement
     _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
         raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
-    increments = oracle_sequence(param).increments
-    return ArrangementCensus(*_census_prefixes(param, increments)[upto_chord])
+    return census_prefixes(param)[upto_chord]
 
 
 def _off_walk(param: RotationParameter, walk: list[int]) -> int | None:
-    """None if walk is the walk, else the first chord n off it.
+    """None if walk equals p*n mod q for n = 0..q, else the first chord n off it.
 
-    The walk in integers, checked with list operations only: it starts at
-    vertex 0, has q + 1 entries, and every step is p mod q.  With
-    gcd(p, q) = 1 these give entry n = p*n mod q, so the walk closes at
-    vertex 0 and its first q entries are distinct.  A vertex moved to
-    another of 0..q-1 breaks the step onto it, and the step before it is
-    still p: so only a failure runs the loop, which names chord 1 for a
-    wrong start, else the first chord n whose step is not p; a short walk
-    names the first chord missing and a long one chord q + 1.
+    Entry n ends chord n and entry 0 starts chord 1, so the first entry off
+    names its chord; a short walk names the first chord missing and a long
+    one chord q + 1.
     """
     p, q = param.p, param.q
-    steps = [*map(q.__rmod__, map(operator.sub, walk[1:], walk))]
-    if len(walk) == q + 1 and walk[0] == 0 and steps == [p] * q:
-        return None
-    if walk[:1] != [0]:
-        return 1
-    return next((n for n, d in enumerate(steps, start=1) if d != p), min(len(walk), q + 1))
+    off = _compare("full_orbit_census", walk, [p * n % q for n in range(q + 1)]).first_divergence
+    return None if off is None else max(off, 1)
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; first_divergence locates a failure in the check's own count.
+
+    The value index n of the first f_n off for the sequence compares
+    (general_vs_oracle, census_vs_general, special_form, r1_form); a chord
+    number for full_orbit_census and rings; None on a pass and where no
+    loop locates the fault (sequence_construction, a closed form that
+    raises, wrong ring counts, radii out of order).
+    """
+
     name: str
     passed: bool
     first_divergence: int | None = None
@@ -187,15 +174,11 @@ def _result(name: str, passed: bool) -> CheckResult:
 
 
 def _compare(name: str, xs, ys) -> CheckResult:
-    """Pass iff xs == ys; only a failure runs the loop, to find the first index that differs."""
-    if xs == ys:  # a list against an equal tuple falls through, and passes below
+    """Pass iff xs == ys (two tuples or two lists), else fail at the first index that differs."""
+    if xs == ys:
         return _passed(name)
-    for n, (x, y) in enumerate(zip(xs, ys)):
-        if x != y:
-            return CheckResult(name, False, n)
-    if len(xs) != len(ys):
-        return CheckResult(name, False, min(len(xs), len(ys)))
-    return _passed(name)
+    n = next((n for n, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
+    return CheckResult(name, False, n)
 
 
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
@@ -242,16 +225,16 @@ def _form_check(name: str, form, arg, counts: list[int]) -> CheckResult:
 def verify_pair(param: RotationParameter) -> VerificationReport:
     """Run every cross-check for one parameter.
 
-    The walk of geometry._walk is read once.  _off_walk checks it first,
-    so a wrong walk names its chord in full_orbit_census even where the
-    counts break.  The crossing offsets are tested on the same list and
-    serve the oracle counts and the ring check.  Both sides' counts must
-    pass formula._check_counts, or the report is sequence_construction;
-    general_vs_oracle and census_vs_general then compare them in O(p), and
-    only a failure expands both to values for its first_divergence.  The
-    closed forms are compared as values, on their own pairs only.
-    Failures become report entries rather than exceptions so exhaustive
-    scans can aggregate them.
+    The walk of geometry._walk is read once.  _off_walk compares it with
+    p*n mod q first, so a wrong walk names its chord in full_orbit_census
+    even where the counts break.  The crossing offsets are tested on the
+    same list and serve the oracle counts and the ring check.  Both sides'
+    counts must pass formula._check_counts, or the report is
+    sequence_construction; general_vs_oracle and census_vs_general then
+    compare them in O(p), and only a failure expands both to values for
+    its first_divergence.  The closed forms are compared as values, on
+    their own pairs only.  Failures become report entries rather than
+    exceptions so exhaustive scans can aggregate them.
     """
     p, q = param.p, param.q
     walk = _walk(param)

@@ -108,6 +108,20 @@ def _swap_chords_2_3(true, param):
     return walk
 
 
+def _lift_vertex(true, param):
+    # Walk entry 2 (vertex 2p mod q) raised by q: the same vertex mod q, so
+    # every step is still p mod q.
+    walk = true(param)
+    walk[2] += param.q
+    return walk
+
+
+def _unreduced_walk(true, param):
+    # The walk p*n for n = 0..q, not reduced mod q: chord 1 is right, every
+    # step is p, and only the vertex numbers past q - 1 are off.
+    return [param.p * n for n in range(param.q + 1)]
+
+
 def _drop_offset(true, q, walk):
     # The smallest crossing offset left out.
     return true(q, walk)[1:]
@@ -189,6 +203,8 @@ MUTATIONS = {
     "pinch_chord": ((geometry, oracle), "_walk", _pinch),
     "swap_chords": ((geometry, oracle), "_walk", _swap_chords),
     "swap_chords_2_3": ((geometry, oracle), "_walk", _swap_chords_2_3),
+    "lift_vertex": ((geometry, oracle), "_walk", _lift_vertex),
+    "unreduced_walk": ((geometry, oracle), "_walk", _unreduced_walk),
     "drop_offset": ((geometry, oracle), "_crossing_offsets", _drop_offset),
     "add_offset": ((geometry, oracle), "_crossing_offsets", _add_offset),
     "move_offset_pair": ((geometry, oracle), "_crossing_offsets", _move_offset_pair),
@@ -281,6 +297,26 @@ EXPECTED = {
         "2/5": (("sequence_construction", None), ("full_orbit_census", 2)),
         "3/7": (("sequence_construction", None), ("full_orbit_census", 2)),
         "5/13": (("sequence_construction", None), ("full_orbit_census", 2)),
+    },
+    # A vertex off by a multiple of q keeps every step p mod q; the walk
+    # check compares each entry with p*n mod q, so it names the first chord
+    # that ends off the reduced walk.
+    "lift_vertex": _everywhere(("full_orbit_census", 2)),
+    # Chord n ends at p*n, which first leaves 0..q-1 at n = ceil(q/p); the
+    # offsets read vertex numbers that no longer wrap, so the counts break.
+    "unreduced_walk": {
+        pq: (("sequence_construction", None), ("full_orbit_census", n))
+        for pq, n in {
+            "1/3": 3,
+            "1/5": 5,
+            "2/5": 3,
+            "2/9": 5,
+            "2/13": 7,
+            "3/7": 3,
+            "3/13": 5,
+            "3/14": 5,
+            "5/13": 3,
+        }.items()
     },
     "drop_offset": _beyond_p1(("sequence_construction", None)),
     "add_offset": _everywhere(("sequence_construction", None)),

@@ -166,7 +166,7 @@ def test_verify_pair_computes_offsets_once(monkeypatch):
     monkeypatch.setattr(oracle, "_ring_check", seen_rings)
     monkeypatch.setattr(formula, "general_sequence", refuse)
     monkeypatch.setattr(oracle, "oracle_sequence", refuse)
-    monkeypatch.setattr(oracle, "_census_prefixes", refuse)
+    monkeypatch.setattr(oracle, "census_prefixes", refuse)
     for pq in [(1, 5), (2, 5), (3, 13), (3, 14)]:
         calls.clear()
         report = verify_pair(make_rotation(*pq))
@@ -205,7 +205,9 @@ def _assert_walk_located(rp):
     assert census.first_divergence == expected, (rp.p, rp.q)
 
 
-@pytest.mark.parametrize("mutation", ["pinch_chord", "swap_chords", "swap_chords_2_3"])
+@pytest.mark.parametrize(
+    "mutation", ["pinch_chord", "swap_chords", "swap_chords_2_3", "lift_vertex", "unreduced_walk"]
+)
 def test_walk_check_names_first_chord_off_the_walk(monkeypatch, mutation):
     apply_mutation(monkeypatch, mutation)
     for pq in PAIRS:
@@ -362,16 +364,11 @@ def _sequence_pairs(draw):
     return (xs, ys) if draw(st.booleans()) else (ys, xs)
 
 
-@given(_sequence_pairs())
-def test_compare_reports_what_the_loop_reports(pair):
-    xs, ys = map(tuple, pair)
+@given(_sequence_pairs(), st.sampled_from([tuple, list]))
+def test_compare_reports_what_the_loop_reports(pair, kind):
+    # The sequence checks compare two tuples of values, the walk check two lists.
+    xs, ys = map(kind, pair)
     assert oracle._compare("c", xs, ys) == _compare_by_loop("c", xs, ys)
-
-
-def test_compare_passes_a_list_against_an_equal_tuple():
-    assert oracle._compare("c", [1, 2, 3], (1, 2, 3)) == CheckResult("c", True)
-    assert oracle._compare("c", [1, 2, 3], (1, 2, 4)) == CheckResult("c", False, 2)
-    assert oracle._compare("c", [1, 2], (1, 2, 3)) == CheckResult("c", False, 2)
 
 
 def test_ring_check_counts_each_ring_once():
