@@ -23,7 +23,7 @@ from .render import RenderSpec, render_step_series, render_svg
 
 # Each pair is O(q) (the ring check locates chord 1's crossings and takes
 # the rest from the rotational symmetry), so a scan grows about as q_max**3:
-# `verify --q-max 500` took 11.3-12.7 s (three runs) on a shared 2-core host
+# `verify --q-max 500` took 10.6-10.9 s (three runs) on a shared 2-core host
 # with Python 3.11.7.  Beyond this an explicit --force is required.
 VERIFY_Q_CAP = 500
 

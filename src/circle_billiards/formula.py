@@ -174,17 +174,27 @@ def special_sequence(p: int) -> DivisionSequence:
     return DivisionSequence(param, values)
 
 
-def r1_sequence(param: RotationParameter) -> DivisionSequence:
-    """Simplified schedule for r = 1, where every floor correction vanishes.
+def _r1_counts(param: RotationParameter) -> list[int]:
+    """The plateau schedule at r = 1 as increment counts: the one owner of the r = 1 form.
 
-    The round loop of general_sequence at r = 1, written out as counts:
-    +1 x m, then for k = 2..p the one chord +(2k-2) and a plateau of
-    +(2k-1) x (m - 1 + floor(k/p) - floor((k-1)/p)), which is m - 1 for
-    k < p and m at k = p.  Output is identical to general_sequence on the
-    same parameter.
+    The round loop of _general_counts at r = 1, where every floor
+    correction vanishes: +1 x m, then for k = 2..p the one chord +(2k-2)
+    and a plateau of +(2k-1) x (m - 1 + floor(k/p) - floor((k-1)/p)), which
+    is m - 1 for k < p and m at k = p.  A pair with r != 1 raises
+    ParameterError.
     """
     if param.r != 1:
         raise ParameterError(f"r = 1 required, got r = {param.r} for {param.p}/{param.q}")
     p, m = param.p, param.m
-    counts = [m, 1] + [m - 1, 1] * (p - 2) + [m]
-    return DivisionSequence.from_increments(param, _expand(counts))
+    return [m, 1] + [m - 1, 1] * (p - 2) + [m]
+
+
+def r1_sequence(param: RotationParameter) -> DivisionSequence:
+    """Simplified schedule for r = 1, where every floor correction vanishes.
+
+    The values of the counts _r1_counts states (a pair with r != 1 raises
+    ParameterError there).  Output is identical to general_sequence on the
+    same parameter; verify_pair's r1_form compares the two schedules as
+    counts.
+    """
+    return DivisionSequence.from_increments(param, _expand(_r1_counts(param)))

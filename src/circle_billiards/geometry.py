@@ -8,6 +8,7 @@ enters for ring radii, rendering and coordinates: one direction table per q.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ def _walk(param: RotationParameter) -> list[int]:
     p*n mod q, entry by entry.
     """
     p, q = param.p, param.q
-    return [p * n % q for n in range(q + 1)]
+    return [pn % q for pn in range(0, p * q + 1, p)]
 
 
 def chord_list(param: RotationParameter) -> list[Chord]:
@@ -147,7 +148,8 @@ def _radii(param: RotationParameter) -> list[float]:
     """The floats ring_radii wraps, r_i for i = 0..p-1: the one owner of the formula."""
     p, q = param.p, param.q
     base = math.pi * p / q
-    return [math.cos(base) / math.cos(base - math.pi * i / q) for i in range(p)]
+    top = math.cos(base)
+    return [top / math.cos(base - math.pi * i / q) for i in range(p)]
 
 
 def ring_radii(param: RotationParameter) -> list[RingRadius]:
@@ -166,6 +168,21 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
     c2, s2 = normal_b
     det = c1 * s2 - c2 * s1
     return (d * (s2 - s1) / det, d * (c1 - c2) / det)
+
+
+def _ring_tolerances(radii: list[float]) -> list[float]:
+    """min(RING_TOLERANCE, half the gap to each adjacent ring) for each ring, in ring order.
+
+    RING_TOLERANCE is read at call time.  Only a gap below twice it makes a
+    half gap count, so the list of half gaps is built only then; otherwise
+    every ring gets RING_TOLERANCE.  No pair with q <= 400 has such a gap.
+    """
+    tol = RING_TOLERANCE
+    gaps = [*map(operator.sub, radii, radii[1:])]
+    if not any(map(operator.lt, gaps, itertools.repeat(2 * tol))):
+        return [tol] * len(radii)
+    half_gaps = [math.inf, *map((0.5).__mul__, gaps), math.inf]
+    return list(map(functools.partial(min, tol), half_gaps, half_gaps[1:]))
 
 
 def _crossings(param: RotationParameter, offsets: list[int], rows: int):
@@ -191,10 +208,13 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
     cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and i + 1 + k
     read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose ring
     p - |s| is negative (off the radius table) gets a NaN place.  The row
-    loop works out each place where it locates the crossing, so no table of
-    places is kept.  A point further than min(RING_TOLERANCE, half the gap
-    to each adjacent ring) from its place raises RingAssignmentError.  A
-    caller that only counts keeps no crossing.
+    loop works out each crossing's ring, radius, tolerance and place where
+    it locates the crossing, so no table of places is kept and nothing but
+    the located point and the yielded tuple is built per crossing; row i
+    stops at the first offset k >= q - i.  A point further than its ring's
+    _ring_tolerances entry, min(RING_TOLERANCE, half the gap to each
+    adjacent ring), from its place raises RingAssignmentError.  A caller
+    that only counts keeps no crossing.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
@@ -213,19 +233,23 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
                     f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1
                 )
     d = unit[p][0]
-    half_gaps = [math.inf, *map((0.5).__mul__, map(operator.sub, radii, radii[1:])), math.inf]
-    tolerance = list(map(functools.partial(min, RING_TOLERANCE), half_gaps, half_gaps[1:]))
+    tolerance = _ring_tolerances(radii)
     for i in range(rows):
         slot = p * (2 * i + 1)
         normal = unit[slot % (2 * q)]
+        last = q - i
         for k in offsets:
-            if i + k >= q:
+            if k >= last:
                 break
             s = p * k % q
             if 2 * s > q:
                 s -= q
             ring = p - abs(s)
-            r, tol = (radii[ring], tolerance[ring]) if ring >= 0 else (math.nan, math.nan)
+            if ring >= 0:
+                r = radii[ring]
+                tol = tolerance[ring]
+            else:
+                r = tol = math.nan
             pt = _line_intersection(normal, unit[(slot + 2 * s) % (2 * q)], d)
             ux, uy = unit[(slot + s) % (2 * q)]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)

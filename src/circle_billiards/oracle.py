@@ -18,7 +18,9 @@ chords as there are offsets below n, so the gaps of [0, *offsets, q] are
 the oracle's counts: o_d - o_(d-1) chords add d.  general_vs_oracle
 compares them with formula._general_counts in O(p).  Both sides expand to
 non-decreasing steps, so the counts agree exactly when the values do, and
-only a failure expands them to find the first index that differs.  On the
+only a failure expands them to find the first index that differs.  r1_form
+compares formula._r1_counts with the general counts the same way, and
+special_form the special form's increments with their steps.  On the
 checked walk t_n = n + 1 for n < q and t_q = q, so the census faces are
 the oracle's values: census_vs_general fails where general_vs_oracle does,
 and full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, or
@@ -46,8 +48,8 @@ from .formula import (
     _check_counts,
     _expand,
     _general_counts,
+    _r1_counts,
     euler_counts,
-    r1_sequence,
     special_sequence,
 )
 from .geometry import RingAssignmentError, _crossing_offsets, _crossings, _walk, crossing_offsets
@@ -88,35 +90,51 @@ def _oracle_counts(q: int, offsets: list[int]) -> list[int]:
     return [*map(operator.sub, bounds[1:], bounds)]
 
 
+def _census(n: int, t: int, x: int) -> ArrangementCensus:
+    """The census of n chords touching t boundary points and crossing x times.
+
+    t touched points cut the boundary into t arcs, and a chord crossed c
+    times contributes c + 1 edges, so v = t + x and e = t + n + 2x; faces
+    follow from f = 1 + e - v with the outer face excluded.  The bare
+    circle, n = t = x = 0, is (0, 0, 1).
+    """
+    v, e = t + x, t + n + 2 * x
+    return ArrangementCensus(v, e, 1 + e - v)
+
+
 def census_prefixes(param: RotationParameter) -> list[ArrangementCensus]:
     """Euler census of the subdivision induced by each chord prefix 0..q.
 
     One pass over the walk of geometry._walk, whose entry n ends chord n: a
-    boundary vertex counts once any incident chord is drawn, and t touched
-    points cut the boundary into t arcs; a chord crossed c times contributes
-    c + 1 edges, and chord n crosses its increment - 1 earlier chords, so
-    the crossings are the running sums of the increments less one.  Faces
-    follow from f = 1 + e - v with the outer face excluded.  The bare
-    circle (prefix 0) is (0, 0, 1) by convention.
+    boundary vertex counts once any incident chord is drawn, and chord n
+    crosses its increment - 1 earlier chords, so the crossings are the
+    running sums of the increments less one.  _census states v, e and f.
     """
     walk = _walk(param)
     touched = {walk[0]}
-    out = [ArrangementCensus(0, 0, 1)]
+    out = [_census(0, 0, 0)]
     crossings = itertools.accumulate(map((-1).__add__, oracle_sequence(param).increments))
     for n, (j, x) in enumerate(zip(walk[1:], crossings), start=1):
         touched.add(j)
-        t = len(touched)
-        v, e = t + x, t + n + 2 * x
-        out.append(ArrangementCensus(v, e, 1 + e - v))
+        out.append(_census(n, len(touched), x))
     return out
 
 
 def arrangement_census(param: RotationParameter, upto_chord: int) -> ArrangementCensus:
-    """Euler census of the first upto_chord chords: census_prefixes(param)[upto_chord]."""
+    """Euler census of the first upto_chord chords: census_prefixes(param)[upto_chord].
+
+    Builds only that prefix's record: the first upto_chord chords touch the
+    distinct vertices of walk entries 0..upto_chord, and cross
+    f_upto_chord - 1 - upto_chord times.
+    """
     _require_ints(upto_chord=upto_chord)
     if not 0 <= upto_chord <= param.q:
         raise ParameterError(f"upto_chord must be in 0..{param.q}, got {upto_chord}")
-    return census_prefixes(param)[upto_chord]
+    if upto_chord == 0:
+        return _census(0, 0, 0)
+    touched = len(set(_walk(param)[: upto_chord + 1]))
+    x = oracle_sequence(param).values[upto_chord] - 1 - upto_chord
+    return _census(upto_chord, touched, x)
 
 
 def _off_walk(param: RotationParameter, walk: list[int]) -> int | None:
@@ -136,10 +154,11 @@ class CheckResult:
     """One check's outcome; first_divergence locates a failure in the check's own count.
 
     The value index n of the first f_n off for the sequence compares
-    (general_vs_oracle, census_vs_general, special_form, r1_form); a chord
-    number for full_orbit_census and rings; None on a pass and where no
-    loop locates the fault (sequence_construction, a closed form that
-    raises, wrong ring counts, radii out of order).
+    (general_vs_oracle, census_vs_general, special_form, r1_form), which
+    compare counts or steps and build values only on a failure, to find n;
+    a chord number for full_orbit_census and rings; None on a pass and
+    where no loop locates the fault (sequence_construction, a closed form
+    that raises, wrong ring counts, radii out of order).
     """
 
     name: str
@@ -185,7 +204,8 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     """The "rings" check: the full orbit's crossings per ring must be {1..p-1: q}.
 
     The counts come from chord 1's row of geometry._crossings, which
-    judges the ring set-up.  By the symmetry _crossings states, crossing
+    judges the ring set-up and builds nothing per crossing but the located
+    point and the yielded tuple.  By the symmetry _crossings states, crossing
     (1, b) stands for the q + 1 - b crossings (i + 1, i + b) with
     i + b <= q, all on its ring.  What the row loses: rounding is sampled
     on chord 1 only, which at p = (q - 1)/2 under-reports the worst miss of
@@ -214,12 +234,24 @@ def _values(counts: list[int]) -> tuple[int, ...]:
 
 
 def _form_check(name: str, form, arg, counts: list[int]) -> CheckResult:
-    """Compare the closed form form(arg) with the values of counts; a form that raises fails."""
+    """Compare the closed form form(arg) with counts; a form that raises fails.
+
+    special_sequence gives a DivisionSequence, whose increments are compared
+    with the steps of counts; _r1_counts gives increment counts, compared
+    with counts in O(p).  Only a mismatch builds both value lists, for the
+    first f_n that differs.
+    """
     try:
-        values = form(arg).values
+        made = form(arg)
     except ValueError:
         return CheckResult(name, False)
-    return _compare(name, values, _values(counts))
+    if isinstance(made, DivisionSequence):
+        if made.increments == tuple(_expand(counts)):
+            return _passed(name)
+        return _compare(name, made.values, _values(counts))
+    if made == counts:
+        return _passed(name)
+    return _compare(name, _values(made), _values(counts))
 
 
 def verify_pair(param: RotationParameter) -> VerificationReport:
@@ -228,13 +260,15 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     The walk of geometry._walk is read once.  _off_walk compares it with
     p*n mod q first, so a wrong walk names its chord in full_orbit_census
     even where the counts break.  The crossing offsets are tested on the
-    same list and serve the oracle counts and the ring check.  Both sides'
-    counts must pass formula._check_counts, or the report is
-    sequence_construction; general_vs_oracle and census_vs_general then
-    compare them in O(p), and only a failure expands both to values for
-    its first_divergence.  The closed forms are compared as values, on
-    their own pairs only.  Failures become report entries rather than
-    exceptions so exhaustive scans can aggregate them.
+    same list and serve the oracle counts and the ring check.  The general
+    counts must pass formula._check_counts, and the oracle's too where the
+    two differ, or the report is sequence_construction; general_vs_oracle
+    and census_vs_general compare them in O(p), and only a failure expands
+    both to values for its first_divergence.  The closed forms are checked
+    on their own pairs only, and the same way: r1_form compares
+    formula._r1_counts with the general counts, special_form the special
+    form's increments with their steps.  Failures become report entries
+    rather than exceptions so exhaustive scans can aggregate them.
     """
     p, q = param.p, param.q
     walk = _walk(param)
@@ -245,15 +279,17 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     try:
         counts = _general_counts(param)
         _check_counts(param, counts)
-        _check_counts(param, found)
+        if counts == found:
+            checks = [_passed("general_vs_oracle"), _passed("census_vs_general")]
+        else:
+            _check_counts(param, found)
+            n = _compare("general_vs_oracle", _values(counts), _values(found)).first_divergence
+            checks = [
+                CheckResult(name, False, n) for name in ("general_vs_oracle", "census_vs_general")
+            ]
     except ValueError:
         return VerificationReport(param, (CheckResult("sequence_construction", False), *census))
 
-    if counts == found:
-        checks = [_passed("general_vs_oracle"), _passed("census_vs_general")]
-    else:
-        n = _compare("general_vs_oracle", _values(counts), _values(found)).first_divergence
-        checks = [CheckResult(name, False, n) for name in ("general_vs_oracle", "census_vs_general")]
     if not census:
         # All q vertices touched, and x = f_q - 1 - q crossings: v = q + x, e = 2q + 2x.
         x = sum(map(operator.mul, itertools.count(1), found)) - q
@@ -264,7 +300,7 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     if q == 2 * p + 1:
         checks.append(_form_check("special_form", special_sequence, p, counts))
     if param.r == 1:
-        checks.append(_form_check("r1_form", r1_sequence, param, counts))
+        checks.append(_form_check("r1_form", _r1_counts, param, counts))
 
     checks.append(_ring_check(param, offsets))
     return VerificationReport(param, tuple(checks))

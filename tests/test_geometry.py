@@ -261,6 +261,35 @@ def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched, chord_a):
     assert type(err.value.chord_a) is chord_a
 
 
+def _capped_tolerances(radii):
+    """Reference: min(RING_TOLERANCE, half the gap to each adjacent ring), ring by ring."""
+    gaps = [(a - b) / 2 for a, b in zip(radii, radii[1:])]
+    return [
+        min([geometry.RING_TOLERANCE, *gaps[max(i - 1, 0) : i + 1]]) for i in range(len(radii))
+    ]
+
+
+def test_ring_tolerances_short_branch_up_to_q_120():
+    # No half gap up to q = 120 is below RING_TOLERANCE, so every ring gets
+    # it whole, which is what the reference computes from the gaps.
+    for rp in coprime_rotations(120):
+        radii = geometry._radii(rp)
+        expected = _capped_tolerances(radii)
+        assert expected == [geometry.RING_TOLERANCE] * rp.p, (rp.p, rp.q)
+        assert geometry._ring_tolerances(radii) == expected, (rp.p, rp.q)
+
+
+@pytest.mark.parametrize("pq, gap", [((2, 90001), 1.8e-9), ((3, 100001), 1.5e-9)])
+def test_ring_tolerances_full_branch_at_large_q(pq, gap):
+    # The smallest radius gap is below twice RING_TOLERANCE, so the half gap
+    # caps some ring's tolerance; only the full branch can give that list.
+    radii = geometry._radii(make_rotation(*pq))
+    assert min(a - b for a, b in zip(radii, radii[1:])) == pytest.approx(gap, rel=0.05)
+    expected = _capped_tolerances(radii)
+    assert min(expected) < geometry.RING_TOLERANCE
+    assert geometry._ring_tolerances(radii) == expected
+
+
 @pytest.mark.parametrize(
     "j, message, chord_a",
     [

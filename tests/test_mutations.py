@@ -178,6 +178,15 @@ def _change_value(true, *args):
     return DivisionSequence(seq.param, tuple(values))
 
 
+def _change_r1_count(true, param):
+    # One chord of plateau 1 moved onto plateau 2: chord m adds 2 where it
+    # added 1, so f_n + 1 for every n >= m.  r = 1 implies p >= 2.
+    counts = true(param)
+    counts[0] -= 1
+    counts[1] += 1
+    return counts
+
+
 def _spare_chord_one(true, normal_a, normal_b, d):
     # Every crossing off by 1e-6 unless its earlier chord is chord 1, whose
     # normal is the table direction p with cosine d.
@@ -188,8 +197,9 @@ def _spare_chord_one(true, normal_a, normal_b, d):
 # name -> (modules whose binding is replaced, function name, mutant).
 # verify_pair and the public census read their walk from oracle._walk, and
 # verify_pair tests it with oracle._crossing_offsets and reads the plateau
-# counts from oracle._general_counts; chord_list, crossing_offsets, the
-# vertex-tie locator and general_sequence read their own module's binding.
+# counts from oracle._general_counts and the r = 1 form's from
+# oracle._r1_counts; chord_list, crossing_offsets, the vertex-tie locator
+# and general_sequence read their own module's binding.
 # The ring mutations replace geometry._radii, the floats that ring_radii
 # wraps and the ring check reads.
 MUTATIONS = {
@@ -211,7 +221,7 @@ MUTATIONS = {
     "move_offset_pair_far": ((geometry, oracle), "_crossing_offsets", _move_offset_pair_far),
     "move_plateau_boundary": ((formula, oracle), "_general_counts", _move_plateau_boundary),
     "change_special_value": ((oracle,), "special_sequence", _change_value),
-    "change_r1_value": ((oracle,), "r1_sequence", _change_value),
+    "change_r1_value": ((oracle,), "_r1_counts", _change_r1_count),
     "spare_chord_one_locator": ((geometry,), "_line_intersection", _spare_chord_one),
 }
 

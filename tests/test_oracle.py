@@ -83,6 +83,25 @@ def test_census_agrees_with_incremental_everywhere():
             assert arrangement_census(rp, n).faces_count == values[n], (rp.p, rp.q, n)
 
 
+def test_census_of_one_prefix_is_that_prefix_of_the_pass(monkeypatch):
+    # arrangement_census builds the one record it returns, equal in v, e and
+    # f to the one census_prefixes builds for that prefix.
+    built = []
+    record = oracle.ArrangementCensus
+
+    def counted(*counts):
+        built.append(counts)
+        return record(*counts)
+
+    prefixes = {rp: census_prefixes(rp) for rp in coprime_rotations(30)}
+    monkeypatch.setattr(oracle, "ArrangementCensus", counted)
+    for rp, census in prefixes.items():
+        for n in range(rp.q + 1):
+            built.clear()
+            assert arrangement_census(rp, n) == census[n], (rp.p, rp.q, n)
+            assert len(built) == 1, (rp.p, rp.q, n)
+
+
 def test_full_orbit_census_scan():
     for rp in coprime_rotations(60):
         c = arrangement_census(rp, rp.q)
@@ -136,8 +155,8 @@ def test_verify_pair_scan_all_green():
 def test_verify_pair_computes_offsets_once(monkeypatch):
     # Each passing pair builds the walk once and tests it for crossings
     # once, and the ring check gets that very offsets list.  No division
-    # record is built for the general form or the oracle, and neither is
-    # the per-prefix census with its set and its tuples.
+    # record is built for the general form, the r = 1 form or the oracle,
+    # and neither is the per-prefix census with its set and its tuples.
     calls = []
     computed = []
     true_walk = geometry._walk
@@ -165,6 +184,7 @@ def test_verify_pair_computes_offsets_once(monkeypatch):
         monkeypatch.setattr(module, "_crossing_offsets", counted_offsets)
     monkeypatch.setattr(oracle, "_ring_check", seen_rings)
     monkeypatch.setattr(formula, "general_sequence", refuse)
+    monkeypatch.setattr(formula, "r1_sequence", refuse)
     monkeypatch.setattr(oracle, "oracle_sequence", refuse)
     monkeypatch.setattr(oracle, "census_prefixes", refuse)
     for pq in [(1, 5), (2, 5), (3, 13), (3, 14)]:
@@ -308,7 +328,7 @@ def test_general_vs_oracle_names_the_first_differing_value(monkeypatch):
     "form, check",
     [
         ("_general_counts", "sequence_construction"),
-        ("r1_sequence", "r1_form"),
+        ("_r1_counts", "r1_form"),
         ("special_sequence", "special_form"),
     ],
 )
@@ -323,6 +343,19 @@ def test_form_that_raises_fails_its_check(monkeypatch, capsys, form, check):
     assert [c.name for c in report.failures()] == [check]
     assert cli.main(["verify", "--q-max", "7"]) == 1
     assert f"FAIL p=3 q=7 check={check}" in capsys.readouterr().out.splitlines()
+
+
+def test_raising_r1_counts_fails_r1_form_on_every_r1_pair(monkeypatch):
+    # r1_form fails alone, naming no value.
+    def refuse(param):
+        raise ValueError("_r1_counts refused")
+
+    monkeypatch.setattr(oracle, "_r1_counts", refuse)
+    r1_pairs = [rp for rp in map(make_rotation, *zip(*PAIRS)) if rp.r == 1]
+    assert len(r1_pairs) == 5
+    for rp in r1_pairs:
+        failures = verify_pair(rp).failures()
+        assert [(c.name, c.first_divergence) for c in failures] == [("r1_form", None)], rp
 
 
 @pytest.mark.parametrize("pq", [(2, 9), (3, 13), (3, 14)])
