@@ -21,10 +21,10 @@ from .geometry import ring_radii
 from .oracle import CheckResult, verify_pair
 from .render import RenderSpec, render_step_series, render_svg
 
-# Each pair is O(q) (the ring check locates chord 1's crossings and takes
-# the rest from the rotational symmetry), so a scan grows about as q_max**3:
-# `verify --q-max 500` took 10.6-10.9 s (three runs) on a shared 2-core host
-# with Python 3.11.7.  Beyond this an explicit --force is required.
+# Each pair is O(q) (the ring check locates chord 1's crossings and counts
+# the rest by the rotational symmetry), so a scan grows about as q_max**3:
+# `verify --q-max 500` took 8.5-12.0 s (five runs, median 9.0 s) on a shared
+# 2-core host with Python 3.11.7.  Beyond this an explicit --force is required.
 VERIFY_Q_CAP = 500
 
 _CHUNK = 1 << 16  # values per write of every `seq` format: the output is never whole

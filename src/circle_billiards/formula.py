@@ -77,8 +77,8 @@ def _check_ends(
         raise ValueError(f"f_q must be {p * q + 1}, got {last}")
 
 
-def _check_counts(param: RotationParameter, counts: list[int]) -> None:
-    """DivisionSequence's invariants read from increment counts in O(p).
+def _check_counts(param: RotationParameter, counts: list[int]) -> int:
+    """DivisionSequence's invariants read from increment counts in O(p); returns f_q.
 
     counts[d - 1] chords add d regions.  With 2p - 1 counts, none negative,
     every step lies in 1..2p - 1 by construction; the counts then fix the
@@ -92,6 +92,7 @@ def _check_counts(param: RotationParameter, counts: list[int]) -> None:
         raise ValueError(f"count {counts[d - 1]} of increment {d} is negative")
     total = 1 + sum(map(operator.mul, itertools.count(1), counts))
     _check_ends(param, 1 + sum(counts), 1, total)
+    return total
 
 
 def _expand(counts: list[int]) -> list[int]:

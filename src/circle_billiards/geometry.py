@@ -170,59 +170,71 @@ def _line_intersection(normal_a, normal_b, d) -> tuple[float, float]:
     return (d * (s2 - s1) / det, d * (c1 - c2) / det)
 
 
-def _ring_tolerances(radii: list[float]) -> list[float]:
+def _ring_tolerances(radii: list[float]) -> list[float] | None:
     """min(RING_TOLERANCE, half the gap to each adjacent ring) for each ring, in ring order.
 
-    RING_TOLERANCE is read at call time.  Only a gap below twice it makes a
-    half gap count, so the list of half gaps is built only then; otherwise
-    every ring gets RING_TOLERANCE.  No pair with q <= 400 has such a gap.
+    None when the radii do not strictly decrease.  RING_TOLERANCE is read at
+    call time.  One gap test decides the usual case: when every gap between
+    adjacent radii is at least twice RING_TOLERANCE, the radii decrease and
+    no half gap counts, so every ring gets RING_TOLERANCE.  The order check
+    and the list of half gaps run only when that test fails.  No pair with
+    q <= 400 fails it.
     """
     tol = RING_TOLERANCE
     gaps = [*map(operator.sub, radii, radii[1:])]
-    if not any(map(operator.lt, gaps, itertools.repeat(2 * tol))):
+    if all(map(operator.ge, gaps, itertools.repeat(2 * tol))):
         return [tol] * len(radii)
+    if min(gaps) <= 0:
+        return None
     half_gaps = [math.inf, *map((0.5).__mul__, gaps), math.inf]
     return list(map(functools.partial(min, tol), half_gaps, half_gaps[1:]))
 
 
-def _crossings(param: RotationParameter, offsets: list[int], rows: int):
-    """Yield (chord_a, chord_b, point, ring) for interior crossings, checked.
+def _crossings(param: RotationParameter, offsets: list[int], rows: int, out=None) -> list[int]:
+    """Locate and check the crossings of rows 0..rows - 1; return the full orbit's count per ring.
 
-    The one reader and judge of the ring set-up.  It reads the radii as the
-    plain floats of _radii, which ring_radii wraps; radii that do not
-    strictly decrease raise RingAssignmentError with chord_a None before
-    anything else.  Then the vertices are tied bit for bit to the table
-    _directions(q) they are read from.  One comparison with its even slots decides a tied
-    figure; only an untied one runs the loop that locates the failure.  It
-    reads the walk of _walk and visits its entry n, vertex j = p*n mod q,
-    where chord n ends and chord n + 1 starts, for n = 0..q, raising with
-    chord_a n (1 when n = 0) at the first vertex j off direction 2j: the first chord in
-    step order through any untied vertex.  An error in the table itself
-    shows only at the places, which rest on _radii's own formula.  Crossing pairs
-    (chord i + 1, chord i + 1 + k), i 0-based, come from the crossing
-    offsets k (as crossing_offsets gives them), ordered by i and then k,
-    over the rows i < rows.  With s = p*k mod q taken in (-q/2, q/2), the two
+    The one crossing locator, and the one reader and judge of the ring
+    set-up.  It reads the radii as the plain floats of _radii, which
+    ring_radii wraps; radii that do not strictly decrease raise
+    RingAssignmentError with chord_a None before anything else.  Then the
+    vertices are tied bit for bit to the table _directions(q) they are read
+    from.  One comparison with its even slots decides a tied figure; only an
+    untied one runs the loop that locates the failure.  It reads the walk of
+    _walk and visits its entry n, vertex j = p*n mod q, where chord n ends
+    and chord n + 1 starts, for n = 0..q, raising with chord_a n (1 when
+    n = 0) at the first vertex j off direction 2j: the first chord in step
+    order through any untied vertex.  An error in the table itself shows
+    only at the places, which rest on _radii's own formula.
+
+    Row i, 0-based, holds the crossings (chord i + 1, chord i + 1 + k) for
+    the crossing offsets k (as crossing_offsets gives them) below q - i, in
+    the order of offsets.  With s = p*k mod q taken in (-q/2, q/2), the two
     chords are mirror images across the bisector of their midpoints, so they
     cross on it: on ring p - |s| at angle pi*(p*(2i + 1) + s)/q.  The places
     and the lines read the same table: chord n + 1 is the line at distance
     cos(p*pi/q) along direction p*(2n + 1), so chords i + 1 and i + 1 + k
     read slots p*(2i + 1) and p*(2i + 1) + 2s (mod 2q).  An offset whose ring
-    p - |s| is negative (off the radius table) gets a NaN place.  The row
-    loop works out each crossing's ring, radius, tolerance and place where
-    it locates the crossing, so no table of places is kept and nothing but
-    the located point and the yielded tuple is built per crossing; row i
-    stops at the first offset k >= q - i.  A point further than its ring's
-    _ring_tolerances entry, min(RING_TOLERANCE, half the gap to each
-    adjacent ring), from its place raises RingAssignmentError.  A caller
-    that only counts keeps no crossing.
+    p - |s| is negative (off the radius table) gets a NaN place.  Each
+    crossing's ring, radius, tolerance and place are worked out where it is
+    located, so no table of places is kept.  A point further than its
+    ring's _ring_tolerances entry, min(RING_TOLERANCE, half the gap to each
+    adjacent ring), from its place raises RingAssignmentError with chord_a
+    i + 1.  When out is a list, (chord_a, chord_b, point, ring) is appended
+    to it for each located crossing; otherwise nothing is built per crossing
+    but the located point.
 
     With every vertex tied, chord i + 1 is chord 1 turned by table slot
     2p*i, and crossing (i + 1, i + 1 + k) is crossing (1, 1 + k) turned by
-    it, so the first rows stand for the rest.
+    it, on the same ring.  So the last located row stands for the rows not
+    located: its crossing (i + 1, i + 1 + k) counts q - k - i times, itself
+    and its copies (i' + 1, i' + 1 + k) for i < i' < q - k, and every other
+    crossing counts once.  rows = q locates the full orbit and counts each
+    crossing once; rows = 1 gives the ring check's weights q - k.
     """
     p, q = param.p, param.q
     radii = _radii(param)
-    if any(map(operator.le, radii, radii[1:])):
+    tolerance = _ring_tolerances(radii)
+    if tolerance is None:
         raise RingAssignmentError(f"ring radii of {p}/{q} do not strictly decrease", None)
     unit = _directions(q)
     verts = vertex_positions(param)
@@ -233,11 +245,14 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
                     f"vertex {j} of {p}/{q} is off direction {2 * j}", n or 1
                 )
     d = unit[p][0]
-    tolerance = _ring_tolerances(radii)
+    per_ring = [0] * p
     for i in range(rows):
-        slot = p * (2 * i + 1)
-        normal = unit[slot % (2 * q)]
+        # The row's slot taken in [-q, q), so slot + s and slot + 2s index
+        # the 2q-entry table directly, negative ones from its end.
+        slot = (p * (2 * i + 1) + q) % (2 * q) - q
+        normal = unit[slot]
         last = q - i
+        final = i == rows - 1
         for k in offsets:
             if k >= last:
                 break
@@ -250,8 +265,8 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
                 tol = tolerance[ring]
             else:
                 r = tol = math.nan
-            pt = _line_intersection(normal, unit[(slot + 2 * s) % (2 * q)], d)
-            ux, uy = unit[(slot + s) % (2 * q)]
+            pt = _line_intersection(normal, unit[slot + 2 * s], d)
+            ux, uy = unit[slot + s]
             miss = math.hypot(pt[0] - r * ux, pt[1] - r * uy)
             if not miss <= tol:  # a NaN fails too
                 raise RingAssignmentError(
@@ -259,10 +274,14 @@ def _crossings(param: RotationParameter, offsets: list[int], rows: int):
                     f"{miss!r} from its place on ring {ring} of {p}/{q}",
                     i + 1,
                 )
-            yield i + 1, i + 1 + k, pt, ring
+            per_ring[ring] += last - k if final else 1
+            if out is not None:
+                out.append((i + 1, i + 1 + k, pt, ring))
+    return per_ring
 
 
 def intersection_points(param: RotationParameter) -> TrajectoryGeometry:
-    """All interior crossings of the full orbit, located and checked by _crossings."""
-    crossings = _crossings(param, crossing_offsets(param), param.q)
-    return TrajectoryGeometry(tuple(Intersection(*c) for c in crossings))
+    """All interior crossings of the full orbit: _crossings locates and checks all q rows."""
+    found = []
+    _crossings(param, crossing_offsets(param), param.q, found)
+    return TrajectoryGeometry(tuple(itertools.starmap(Intersection, found)))

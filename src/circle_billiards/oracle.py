@@ -23,11 +23,14 @@ compares formula._r1_counts with the general counts the same way, and
 special_form the special form's increments with their steps.  On the
 checked walk t_n = n + 1 for n < q and t_q = q, so the census faces are
 the oracle's values: census_vs_general fails where general_vs_oracle does,
-and full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, or
+and full_orbit_census checks the full-orbit (v, e, f) that f_q fixes, with
+f_q the sum formula._check_counts returns for the oracle's counts, or
 names the first chord off the walk.  verify_pair also runs the float ring
-check; _ring_check says why chord 1's crossings stand for the full orbit
-and what that loses.  Every stage of verify_pair is O(q), and the public
-counters read their own walk, offsets and oracle record.
+check, which compares the per-ring counts that geometry._crossings returns
+for chord 1's row with [0, q, ..., q]; _ring_check says why that row
+stands for the full orbit and what that loses.  Every stage of
+verify_pair is O(q), and the public counters read their own walk, offsets
+and oracle record.
 verify_pair reads plain values only: ints for the walk and the counts,
 floats for the radii from geometry._radii, and each passing CheckResult is
 one shared record per check name.  The public records, Chord and
@@ -203,14 +206,14 @@ def _compare(name: str, xs, ys) -> CheckResult:
 def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     """The "rings" check: the full orbit's crossings per ring must be {1..p-1: q}.
 
-    The counts come from chord 1's row of geometry._crossings, which
-    judges the ring set-up and builds nothing per crossing but the located
-    point and the yielded tuple.  By the symmetry _crossings states, crossing
-    (1, b) stands for the q + 1 - b crossings (i + 1, i + b) with
-    i + b <= q, all on its ring.  What the row loses: rounding is sampled
-    on chord 1 only, which at p = (q - 1)/2 under-reports the worst miss of
-    the five innermost rings 2-8 times (8.0, 2.3 and 2.4 at q = 2001, 10001
-    and 20001), and a locator wrong only off chord 1 passes.
+    The counts are what geometry._crossings returns for chord 1's row: it
+    judges the ring set-up, locates the row's 2(p - 1) crossings and, by the
+    symmetry it states, counts crossing (1, 1 + k) for the q - k crossings
+    (i + 1, i + 1 + k) with i + k < q, all on its ring.  It builds nothing
+    per crossing but the located point.  What the row loses: rounding is
+    sampled on chord 1 only, which at p = (q - 1)/2 under-reports the worst
+    miss of the five innermost rings 2-8 times (8.0, 2.3 and 2.4 at
+    q = 2001, 10001 and 20001), and a locator wrong only off chord 1 passes.
 
     first_divergence is the chord_a of the RingAssignmentError raised: the
     first chord in step order through a vertex off its table direction, the
@@ -219,10 +222,8 @@ def _ring_check(param: RotationParameter, offsets: list[int]) -> CheckResult:
     one list compared with [0, q, ..., q] at once, and no loop locates them.
     """
     p, q = param.p, param.q
-    per_ring = [0] * p
     try:
-        for _, b, _, ring in _crossings(param, offsets, 1):
-            per_ring[ring] += q + 1 - b  # ring >= 0: a negative ring's NaN place raises
+        per_ring = _crossings(param, offsets, 1)
     except RingAssignmentError as err:
         return CheckResult("rings", False, err.chord_a)
     return _result("rings", per_ring == [0] + [q] * (p - 1))
@@ -278,11 +279,11 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
     found = _oracle_counts(q, offsets)
     try:
         counts = _general_counts(param)
-        _check_counts(param, counts)
+        total = _check_counts(param, counts)  # f_q, which is the oracle's where the counts agree
         if counts == found:
             checks = [_passed("general_vs_oracle"), _passed("census_vs_general")]
         else:
-            _check_counts(param, found)
+            total = _check_counts(param, found)
             n = _compare("general_vs_oracle", _values(counts), _values(found)).first_divergence
             checks = [
                 CheckResult(name, False, n) for name in ("general_vs_oracle", "census_vs_general")
@@ -292,7 +293,7 @@ def verify_pair(param: RotationParameter) -> VerificationReport:
 
     if not census:
         # All q vertices touched, and x = f_q - 1 - q crossings: v = q + x, e = 2q + 2x.
-        x = sum(map(operator.mul, itertools.count(1), found)) - q
+        x = total - 1 - q
         full = (q + x, 2 * q + 2 * x, 1 + q + x)
         census = [_result("full_orbit_census", full == euler_counts(param))]
     checks += census

@@ -84,6 +84,37 @@ def test_coprime_rotations_accepts_max_q():
     # Only the first pair is taken: the whole scan would be about 3·10¹¹ pairs.
     assert next(coprime_rotations(MAX_Q)) == RotationParameter(1, 3)
 
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (2.0, 5, "p must be an int"),
+        (2, True, "q must be an int"),
+        (0, 5, "p must be a positive integer"),
+        (1, 0, "q must be a positive integer"),
+        (3, 2_000_000, "q must be at most"),
+        (2, 6, "2/6 is not reduced"),
+        (1, 2, "1/2: out of supported range"),
+        (-1, 5, "p must be a positive integer"),
+        (3, 5, "3/5: out of supported range"),
+    ],
+)
+def test_rotation_parameter_built_directly_is_validated(p, q, message):
+    # The pair checks hold however the parameter is built, so a pair built
+    # directly fails with ParameterError before any counter reads it.
+    with pytest.raises(ParameterError, match=message):
+        RotationParameter(p, q)
+
+
+@pytest.mark.parametrize("p_in, q_in, reduced", [(4, 8, "1/2"), (6, 10, "3/5")])
+def test_make_rotation_keeps_its_reduction_message(p_in, q_in, reduced):
+    # make_rotation reduces first, so an unreduced input out of range names
+    # both fractions; RotationParameter never sees it.
+    message = rf"^{p_in}/{q_in} reduces to {reduced}: out of supported range"
+    with pytest.raises(ParameterError, match=message):
+        make_rotation(p_in, q_in)
+
+
 def test_rotation_parameter_is_the_pair():
     rp = RotationParameter(3, 14)
     assert (rp.m, rp.r) == (4, 2)

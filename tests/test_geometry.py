@@ -234,24 +234,26 @@ def test_ring_check_holds_on_innermost_rings_at_large_q(q):
     # q**-3), so a locator that loses digits would false-fail them first.
     rp = make_rotation((q - 1) // 2, q)
     inner = [k for k in crossing_offsets(rp) if min(rp.p * k % q, -rp.p * k % q) <= 5]
-    per_ring = Counter(ring for *_, ring in geometry._crossings(rp, inner, q))
-    assert per_ring == {ring: q for ring in range(rp.p - 5, rp.p)}
+    per_ring = geometry._crossings(rp, inner, q)
+    assert per_ring == [0] * (rp.p - 5) + [q] * 5
 
 
 @pytest.mark.parametrize(
     "patched, chord_a",
     [
         (lambda r: [r[0], r[2], r[1]], type(None)),  # rings 1 and 2 swapped
+        (lambda r: [r[0], r[1], r[1]], type(None)),  # ring 2 on ring 1
         (lambda r: [r[0], r[2] + 0.01, r[2]], int),  # ring 1 moved next to ring 2
         (lambda r: [r[0], r[1], r[1] - 0.01], int),  # ring 2 moved next to ring 1
     ],
-    ids=["swapped", "outer_moved_in", "inner_moved_out"],
+    ids=["swapped", "equal", "outer_moved_in", "inner_moved_out"],
 )
 def test_ring_tolerance_capped_at_half_gap(monkeypatch, patched, chord_a):
     # Each patched table of 3/7 puts some crossing nearer another ring than
     # its own, which the loose RING_TOLERANCE alone would let pass.  The
-    # swapped radii fail the order check before any crossing is located
-    # (chord_a None); the moved ones fail the half-gap cap at a crossing.
+    # swapped and the equal radii fail the order check before any crossing
+    # is located (chord_a None); the moved ones fail the half-gap cap at a
+    # crossing.
     rp = make_rotation(3, 7)
     radii = patched([rr.normalized_radius for rr in ring_radii(rp)])
     monkeypatch.setattr(geometry, "RING_TOLERANCE", 1.0)
@@ -385,10 +387,23 @@ def _check_against_pairwise_reference(rp):
         assert x.ring == _nearest_ring(ascending, math.hypot(*x.point)), (rp, x)
     _assert_rings_equally_spaced(rp, geo.intersections)
     # The ring check's chord-1 row, scaled by the symmetry, against every crossing.
-    per_ring = Counter()
-    for _, b, _, ring in geometry._crossings(rp, offsets, 1):
-        per_ring[ring] += rp.q + 1 - b
-    assert per_ring == Counter(x.ring for x in geo.intersections)
+    per_ring = Counter(x.ring for x in geo.intersections)
+    assert geometry._crossings(rp, offsets, 1) == [per_ring[ring] for ring in range(rp.p)]
+
+
+def test_one_row_counts_what_every_row_counts():
+    # The symmetry the ring check rests on, on the one locator: chord 1's
+    # row, each crossing weighted by the rows it stands for, counts what
+    # all q rows count, and the list the q rows fill is the crossings that
+    # intersection_points returns, field by field.
+    for rp in coprime_rotations(60):
+        offsets = crossing_offsets(rp)
+        expected = [0] + [rp.q] * (rp.p - 1)
+        found = []
+        assert geometry._crossings(rp, offsets, rp.q, found) == expected, (rp.p, rp.q)
+        assert geometry._crossings(rp, offsets, 1) == expected, (rp.p, rp.q)
+        geo = intersection_points(rp).intersections
+        assert found == [(x.chord_a, x.chord_b, x.point, x.ring) for x in geo], (rp.p, rp.q)
 
 
 def test_crossing_offsets_match_pairwise_reference():
